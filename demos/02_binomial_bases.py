@@ -19,7 +19,7 @@ from triarr import (
 
 m, p = 16, 3
 print(f"binomial row for m={m} mod {p}:")
-print(" ", [int(binom_mod_p(m, j, p)) for j in range(m + 1)])
+print(" ", [binom_mod_p(m, j, p) for j in range(m + 1)])
 print(f"digit-dominated set G_{m} =", g_set(m, p))
 print()
 print("maximal members (the region's upper frontier):")

@@ -49,7 +49,6 @@ from .fastexp import (
     unbalanced_exponents,
 )
 from .fpcore import (
-    FpElement,
     GuardError,
     Prime,
     binom_mod_p,
@@ -69,7 +68,6 @@ __all__ = [
     "CertificationError",
     "DegreeSlice",
     "ExponentReport",
-    "FpElement",
     "GammaSlice",
     "GuardError",
     "HomoPoly",

@@ -74,7 +74,7 @@ def gamma_membership(mu, p: int) -> bool:
     mu = as_multiplicity(mu)
     m = mu.mu3
     lo = max(0, m - mu.mu2 + 1)
-    return all(int(binom_mod_p(m, j, p)) == 0 for j in range(lo, mu.mu1))
+    return all(binom_mod_p(m, j, p) == 0 for j in range(lo, mu.mu1))
 
 
 def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
@@ -84,7 +84,7 @@ def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
     f = [0] * (m + 1)
     g = [0] * (m + 1)
     for j in range(m + 1):
-        c = int(binom_mod_p(m, j, p))
+        c = binom_mod_p(m, j, p)
         if j >= mu.mu1:
             f[j] = c
         else:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: exp | basis | oracle | table | centers | gamma | verify.
-Global flags on every subcommand: -p/--prime, --format, --out FILE,
---workers N, --seed N.  Exit codes: 0 success, 1 failed verification
-property, 2 usage or desk-guard error, 3 strategy precondition failure.
+Subcommands: exp | basis | oracle | table | centers | gamma | verify;
+oracle is basis --strategy oracle.  Flags on every subcommand:
+-p/--prime, --format (choices per subcommand), --out FILE, --workers N
+(default 1, clamped to the CPU count), --seed N.  Exit codes: 0 success,
+1 failed verification property, 2 usage or desk-guard error, 3 strategy
+precondition failure.
 """
 
 from __future__ import annotations
@@ -94,19 +96,12 @@ def _basis_json(p, mu, pair: BasisPair, trace, strategy: str) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _common_flags(sp: argparse.ArgumentParser) -> None:
+def _common_flags(sp: argparse.ArgumentParser, run, formats=("text", "json")) -> None:
+    sp.set_defaults(run=run)
     sp.add_argument("-p", "--prime", type=int, required=True)
-    sp.add_argument("--format", default="text")
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
 
@@ -121,20 +116,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("exp", help="exponent gap / pair / component for one mu")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_exp)
     sp.add_argument("--mu", required=True)
 
     sp = sub.add_parser("basis", help="certified basis for one mu")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_basis)
     sp.add_argument("--mu", required=True)
     sp.add_argument("--strategy", choices=("plan", "oracle", "psi"), default="plan")
 
-    sp = sub.add_parser("oracle", help="brute-force exponents and basis")
-    _common_flags(sp)
+    sp = sub.add_parser("oracle", help="same as basis --strategy oracle")
+    _common_flags(sp, _cmd_basis)
     sp.add_argument("--mu", required=True)
+    sp.set_defaults(strategy="oracle")
 
     sp = sub.add_parser("table", help="render a lattice atlas")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_table, formats=("text", "ascii", "csv", "json", "svg"))
     sp.add_argument("--mode", choices=atlas.MODES, default="m3")
     sp.add_argument("--m", type=int, default=None, help="third coordinate (mode m3)")
     sp.add_argument("--total", type=int, default=None, help="|mu| (mode sum)")
@@ -143,17 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mark-centers", action="store_true")
 
     sp = sub.add_parser("centers", help="enumerate component centers in a box")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_centers)
     sp.add_argument("-k", type=int, required=True, help="radius exponent (p^k)")
     sp.add_argument("--box", required=True)
 
     sp = sub.add_parser("gamma", help="binomial-basis region data at level m")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_gamma)
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("--mu", default=None, help="optionally test one mu triple")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    _common_flags(sp)
+    _common_flags(sp, _cmd_verify, formats=("text",))
     sp.add_argument("--box", default=None)
     sp.add_argument(
         "--suite",
@@ -163,54 +159,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_exp(args) -> int:
+# Each handler returns the output: a string as is, anything else as JSON.
+# Only verify also returns an exit code.
+
+
+def _cmd_exp(args):
     p = Prime(args.prime)
     report = fastexp.fast_exponents(_parse_mu(args.mu), p)
-    if args.format == "json":
-        _emit(json.dumps(_report_json(report), indent=2) + "\n", args.out)
-    elif args.format == "text":
-        _emit(_report_text(report), args.out)
-    else:
-        raise ValueError(f"exp supports text/json, not {args.format!r}")
-    return EXIT_OK
+    return _report_json(report) if args.format == "json" else _report_text(report)
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args):
     p = Prime(args.prime)
     mu = _parse_mu(args.mu)
+    trace = []
     if args.strategy == "plan":
         pair, trace = basisfactory.plan_basis(mu, p)
     elif args.strategy == "oracle":
         _, _, pair = oracle.oracle_exponents(mu, p)
-        trace = []
     else:
         pair = basisfactory.psi_basis(mu, p)
-        trace = []
     if args.format == "json":
-        _emit(json.dumps(_basis_json(p, mu, pair, trace, args.strategy), indent=2) + "\n", args.out)
-    elif args.format == "text":
-        _emit(_basis_text(mu, pair, trace, args.strategy), args.out)
-    else:
-        raise ValueError(f"basis supports text/json, not {args.format!r}")
-    return EXIT_OK
+        return _basis_json(p, mu, pair, trace, args.strategy)
+    return _basis_text(mu, pair, trace, args.strategy)
 
 
-def _cmd_oracle(args) -> int:
-    p = Prime(args.prime)
-    mu = _parse_mu(args.mu)
-    d1, d2, pair = oracle.oracle_exponents(mu, p)
-    if args.format == "json":
-        obj = _basis_json(p, mu, pair, [], "oracle")
-        obj["exp"] = [d1, d2]
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    elif args.format == "text":
-        _emit(_basis_text(mu, pair, [], "oracle"), args.out)
-    else:
-        raise ValueError(f"oracle supports text/json, not {args.format!r}")
-    return EXIT_OK
-
-
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     p = Prime(args.prime)
     if args.mode == "m3":
         if args.m is None:
@@ -230,51 +204,39 @@ def _cmd_table(args) -> int:
         cell=args.cell,
         mark_centers=args.mark_centers,
     )
-    grid = atlas.build_atlas(spec, workers=max(1, args.workers))
-    if args.format in ("text", "ascii"):
-        _emit(atlas.render_ascii(grid), args.out)
-    elif args.format == "csv":
-        _emit(atlas.render_csv(grid), args.out)
-    elif args.format == "json":
-        _emit(json.dumps(atlas.render_json_obj(grid), indent=2) + "\n", args.out)
-    elif args.format == "svg":
-        _emit(atlas.render_svg(grid), args.out)
-    else:
-        raise ValueError(f"unknown table format {args.format!r}")
-    return EXIT_OK
+    grid = atlas.build_atlas(spec, workers=args.workers)
+    render = {
+        "csv": atlas.render_csv,
+        "json": atlas.render_json_obj,
+        "svg": atlas.render_svg,
+    }.get(args.format, atlas.render_ascii)
+    return render(grid)
 
 
-def _cmd_centers(args) -> int:
+def _cmd_centers(args):
     p = Prime(args.prime)
     if args.k < 0:
         raise ValueError("k must be nonnegative")
-    box = _parse_mu(args.box)
-    cs = fastexp.enumerate_centers(p, args.k, box)
+    cs = fastexp.enumerate_centers(p, args.k, _parse_mu(args.box))
     if args.format == "json":
-        obj = {
+        return {
             "p": int(p),
             "k": cs.k,
             "radius": cs.radius,
             "box": list(cs.box),
             "centers": [list(z) for z in cs.centers],
         }
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    elif args.format == "text":
-        lines = [f"centers of radius {cs.radius} within {tuple(cs.box)}:"]
-        lines += [f"  {tuple(z)}" for z in cs.centers]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"centers supports text/json, not {args.format!r}")
-    return EXIT_OK
+    lines = [f"centers of radius {cs.radius} within {tuple(cs.box)}:"]
+    lines += [f"  {tuple(z)}" for z in cs.centers]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args):
     p = Prime(args.prime)
     if args.m < 1:
         raise ValueError("m must be positive")
     gs = basisfactory.gamma_slice(args.m, p)
-    member = None
-    mu = None
+    mu = member = None
     if args.mu is not None:
         mu = _parse_mu(args.mu)
         member = basisfactory.gamma_membership(mu, p)
@@ -289,61 +251,53 @@ def _cmd_gamma(args) -> int:
         if mu is not None:
             obj["mu"] = list(mu)
             obj["member"] = member
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    elif args.format == "text":
-        lines = [
-            f"m: {args.m}",
-            f"g_set: {g_set(args.m, p)}",
-            f"s_set: {[tuple(s) for s in gs.maximal_elements]}",
-            f"b_set: {[tuple(b) for b in gs.minimal_complement]}",
-        ]
-        if mu is not None:
-            lines.append(f"member({tuple(mu)}): {'true' if member else 'false'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise ValueError(f"gamma supports text/json, not {args.format!r}")
-    return EXIT_OK
+        return obj
+    lines = [
+        f"m: {args.m}",
+        f"g_set: {g_set(args.m, p)}",
+        f"s_set: {[tuple(s) for s in gs.maximal_elements]}",
+        f"b_set: {[tuple(b) for b in gs.minimal_complement]}",
+    ]
+    if mu is not None:
+        lines.append(f"member({tuple(mu)}): {'true' if member else 'false'}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     p = Prime(args.prime)
     names = [t.strip() for t in args.suite.split(",") if t.strip()]
     box = _parse_mu(args.box) if args.box else None
-    results = verify.run_suites(
-        names, p, box=box, seed=args.seed, workers=max(1, args.workers)
-    )
+    results = verify.run_suites(names, p, box=box, seed=args.seed, workers=args.workers)
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append("all suites passed" if ok else "FAILURES detected")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_PROPERTY
-
-
-_HANDLERS = {
-    "exp": _cmd_exp,
-    "basis": _cmd_basis,
-    "oracle": _cmd_oracle,
-    "table": _cmd_table,
-    "centers": _cmd_centers,
-    "gamma": _cmd_gamma,
-    "verify": _cmd_verify,
-}
+    return "\n".join(lines) + "\n", EXIT_OK if ok else EXIT_PROPERTY
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
+    args.workers = max(1, min(args.workers, os.cpu_count() or 1))
     try:
-        return _HANDLERS[args.command](args)
+        result = args.run(args)
     except NotInGammaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRATEGY
     except (GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    code = EXIT_OK
+    if isinstance(result, tuple):
+        result, code = result
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def console_main() -> None:

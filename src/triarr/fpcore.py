@@ -2,8 +2,8 @@
 
 Everything downstream (polynomial coefficients, lattice formulas, the
 brute-force solver) reduces to the handful of primitives here: validated
-prime moduli, canonical residues, base-p digit vectors, Lucas binomials
-and the digit-dominance set G_m.
+prime moduli, base-p digit vectors, Lucas binomials (as plain int
+residues) and the digit-dominance set G_m.
 """
 
 from __future__ import annotations
@@ -48,83 +48,6 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-class FpElement:
-    """A fully reduced residue modulo a prime.
-
-    Arithmetic stays closed under the modulus; mixing moduli raises.
-    Comparisons against plain ints reduce the int first.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        p = int(p)
-        self.p = p
-        self.value = int(value) % p
-
-    def _lift(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        return FpElement(other, self.p)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return FpElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return FpElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return FpElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElement(pow(self.value, e, self.p), self.p)
-
-    def inverse(self) -> "FpElement":
-        # Fermat: a^(p-2) inverts a for prime p.
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"F{self.p}({self.value})"
-
-
 def digits(m: int, p: int) -> list[int]:
     """Base-p digit vector of m, least significant first, trailing zeros trimmed."""
     if m < 0:
@@ -155,26 +78,27 @@ def s_index(m: int, p: int) -> int:
     return e
 
 
-def binom_mod_p(m: int, j: int, p: int) -> FpElement:
+def binom_mod_p(m: int, j: int, p: int) -> int:
     """Binomial coefficient C(m, j) mod p via the Lucas digit product.
 
-    Follows the usual convention C(a, b) = 0 for b < 0 or b > a.
+    Returns the canonical residue in range(p) as a plain int.  Follows the
+    usual convention C(a, b) = 0 for b < 0 or b > a.
     """
     if j < 0 or j > m:
-        return FpElement(0, p)
+        return 0
     acc = 1
     while j:
         m, cm = divmod(m, p)
         j, cj = divmod(j, p)
         if cj > cm:
-            return FpElement(0, p)
+            return 0
         # small-digit binomial, exact
         num, den = 1, 1
         for t in range(cj):
             num *= cm - t
             den *= t + 1
         acc = acc * ((num // den) % p) % p
-    return FpElement(acc, p)
+    return acc
 
 
 def g_set(m: int, p: int) -> list[int]:

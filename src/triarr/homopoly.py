@@ -283,4 +283,4 @@ def binomial_power(m: int, p: int) -> HomoPoly:
         raise ValueError("binomial_power requires m >= 0")
     if m > DEGREE_GUARD:
         raise GuardError(f"degree {m} exceeds the desk-scale guard")
-    return HomoPoly(p, [int(binom_mod_p(m, j, p)) for j in range(m + 1)])
+    return HomoPoly(p, [binom_mod_p(m, j, p) for j in range(m + 1)])

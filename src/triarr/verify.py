@@ -244,7 +244,7 @@ def run_gamma(p: int, max_m: int = 20) -> SuiteResult:
                 lambda kappa=kappa: f"maximal element {tuple(kappa)} not a member",
             )
         for j in range(m + 1):
-            nonzero = int(binom_mod_p(m, j, p)) != 0
+            nonzero = binom_mod_p(m, j, p) != 0
             gap = oracle.oracle_delta(Multiplicity(j + 1, m + 1 - j, m), p)
             res.record(
                 nonzero == (gap == 0),
@@ -381,7 +381,7 @@ def run_golden() -> SuiteResult:
         "digit-dominance set of 16 at p=3",
     )
     res.record(
-        [int(binom_mod_p(16, j, 3)) for j in range(17)]
+        [binom_mod_p(16, j, 3) for j in range(17)]
         == [1, 1, 0, 2, 2, 0, 1, 1, 0, 1, 1, 0, 2, 2, 0, 1, 1],
         "binomial row m=16, p=3",
     )
@@ -396,16 +396,17 @@ def run_golden() -> SuiteResult:
     return res
 
 
+# name -> suite run with the shared (p, box, seed, workers) settings
 SUITES = {
-    "differential": run_differential,
-    "adjacency": run_adjacency,
-    "frobenius": run_frobenius,
-    "periodicity": run_periodicity,
-    "duality": run_duality,
-    "gamma": run_gamma,
-    "centers": run_centers,
-    "saito": run_saito,
-    "golden": run_golden,
+    "differential": lambda p, box, seed, workers: run_differential(p, box, workers=workers),
+    "adjacency": lambda p, box, seed, workers: run_adjacency(p, box),
+    "frobenius": lambda p, box, seed, workers: run_frobenius(p, box),
+    "periodicity": lambda p, box, seed, workers: run_periodicity(p, box),
+    "duality": lambda p, box, seed, workers: run_duality(p),
+    "gamma": lambda p, box, seed, workers: run_gamma(p),
+    "centers": lambda p, box, seed, workers: run_centers(p, box, workers=workers),
+    "saito": lambda p, box, seed, workers: run_saito(p, box, seed=seed),
+    "golden": lambda p, box, seed, workers: run_golden(),
 }
 
 
@@ -416,27 +417,11 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[SuiteResult]:
-    """Run the named suites with shared p/box/seed/worker settings."""
-    out = []
+    """Run the named suites with shared p/box/seed/worker settings.
+
+    Every name is checked before any suite runs.
+    """
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
-        if name == "golden":
-            out.append(run_golden())
-        elif name == "differential":
-            out.append(run_differential(p, box, workers=workers))
-        elif name == "centers":
-            out.append(run_centers(p, box, workers=workers))
-        elif name == "saito":
-            out.append(run_saito(p, box, seed=seed))
-        elif name == "adjacency":
-            out.append(run_adjacency(p, box))
-        elif name == "frobenius":
-            out.append(run_frobenius(p, box))
-        elif name == "periodicity":
-            out.append(run_periodicity(p, box))
-        elif name == "duality":
-            out.append(run_duality(p))
-        else:
-            out.append(run_gamma(p))
-    return out
+    return [SUITES[name](p, box, seed, workers) for name in names]

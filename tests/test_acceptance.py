@@ -98,7 +98,7 @@ class TestCriterion1Golden:
             (9, 9, 16), (16, 1, 16), (15, 3, 16), (13, 4, 16), (12, 6, 16),
             (10, 7, 16),
         }
-        row = [int(binom_mod_p(16, j, 3)) for j in range(17)]
+        row = [binom_mod_p(16, j, 3) for j in range(17)]
         assert row == [1, 1, 0, 2, 2, 0, 1, 1, 0, 1, 1, 0, 2, 2, 0, 1, 1]
         report("1d golden m=16 p=3 set and binomial-row data: PASS")
 
@@ -209,7 +209,7 @@ class TestCriterion5AtlasRegression:
                 if m3 < 0:
                     assert cell is None
                     continue
-                predicted = int(binom_mod_p(m3, 31 - m1, 2)) != 0
+                predicted = binom_mod_p(m3, 31 - m1, 2) != 0
                 assert cell == (1 if predicted else 0), (m1, m2, m3)
                 filled += cell
         assert filled > 0

@@ -467,7 +467,7 @@ class TestGammaOracleEquivalence:
         for p in (2, 3, 5):
             for m in range(1, 13):
                 for j in range(m + 1):
-                    nonzero = int(binom_mod_p(m, j, p)) != 0
+                    nonzero = binom_mod_p(m, j, p) != 0
                     gap = oracle_delta((j + 1, m + 1 - j, m), p)
                     assert nonzero == (gap == 0)
 

@@ -1,4 +1,7 @@
 import json
+import os
+
+from triarr import atlas, verify
 
 from triarr.cli import main
 from triarr.derivmod import VectorField, saito_check
@@ -99,6 +102,15 @@ class TestOracleCommand:
         assert code == 0
         assert "exp: (4, 6)" in out and "certified: true" in out
 
+    def test_same_as_basis_oracle_strategy(self, capsys):
+        for fmt in ("text", "json"):
+            alias = run(capsys, "oracle", "-p", "3", "--mu", "4,5,6", "--format", fmt)
+            basis = run(
+                capsys, "basis", "-p", "3", "--mu", "4,5,6", "--strategy", "oracle",
+                "--format", fmt,
+            )
+            assert alias == basis and alias[0] == 0
+
 
 class TestTable:
     def test_csv_stable_and_correct(self, capsys):
@@ -141,6 +153,43 @@ class TestTable:
     def test_missing_mode_value_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "-p", "2", "--mode", "sum", "--range", "4,4")
         assert code == 2
+
+    def test_bad_format_exits_2_before_building(self, capsys, monkeypatch):
+        def no_build(spec, workers=1):
+            raise AssertionError("atlas built for a bad --format")
+
+        monkeypatch.setattr(atlas, "build_atlas", no_build)
+        code, out, _ = run(
+            capsys, "table", "-p", "2", "--mode", "m3", "--m", "1", "--range", "2,2",
+            "--format", "xml",
+        )
+        assert code == 2 and out == ""
+
+
+class TestWorkers:
+    def resolved(self, capsys, monkeypatch, *flags):
+        seen = []
+        real = atlas.build_atlas
+
+        def record(spec, workers=1):
+            seen.append(workers)
+            return real(spec, workers=1)
+
+        monkeypatch.setattr(atlas, "build_atlas", record)
+        code, _, _ = run(
+            capsys, "table", "-p", "2", "--mode", "m3", "--m", "1", "--range", "2,2",
+            *flags,
+        )
+        assert code == 0
+        return seen
+
+    def test_default_is_one(self, capsys, monkeypatch):
+        assert self.resolved(capsys, monkeypatch) == [1]
+
+    def test_clamped_to_cpu_count(self, capsys, monkeypatch):
+        cpus = os.cpu_count() or 1
+        assert self.resolved(capsys, monkeypatch, "--workers", "100000") == [cpus]
+        assert self.resolved(capsys, monkeypatch, "--workers", "0") == [1]
 
 
 class TestCenters:
@@ -207,3 +256,17 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "-p", "2", "--suite", "nonsense")
         assert code == 2
+
+    def test_unknown_suite_rejected_before_any_suite_runs(self, capsys, monkeypatch):
+        def no_golden():
+            raise AssertionError("golden ran before the unknown name was rejected")
+
+        monkeypatch.setattr(verify, "run_golden", no_golden)
+        code, out, err = run(capsys, "verify", "-p", "2", "--suite", "golden,nonsense")
+        assert code == 2 and out == "" and "nonsense" in err
+
+    def test_json_format_exits_2(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "-p", "3", "--suite", "golden", "--format", "json"
+        )
+        assert code == 2 and out == ""

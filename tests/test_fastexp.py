@@ -165,6 +165,22 @@ class TestFastExponents:
                     assert dist1(mu, hit.center) < p**k
 
 
+class TestLargePrime:
+    def test_char0_formula_when_p_exceeds_total(self):
+        # Wakamiko's characteristic-0 exponents hold whenever p > |mu|.
+        for p in (19, 23, 29):
+            for mu in box(6):
+                n, top = mu.total, max(mu)
+                if n >= p:
+                    continue
+                if 2 * top <= n:
+                    expected = (n // 2, n - n // 2)
+                else:
+                    expected = (n - top, top)
+                assert fast_exponents(mu, p).exponents == expected, (mu, p)
+                assert oracle_exponents(mu, p)[:2] == expected, (mu, p)
+
+
 class TestSelfSimilarity:
     def test_delta_scales_by_p(self):
         for p in (2, 3, 5):
