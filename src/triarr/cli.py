@@ -11,6 +11,7 @@ precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,6 +106,7 @@ def _common_flags(sp: argparse.ArgumentParser, run, formats=("text", "json")) ->
     sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="triarr",

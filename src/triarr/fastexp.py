@@ -36,6 +36,8 @@ class BallHit(NamedTuple):
     center: Multiplicity
     case: str  # one of "C", "D", "E", "F"
     axis: int | None  # distinguished index i (0-based) for cases C and E
+    alpha: Multiplicity  # mu = p^k * alpha + beta, 0 <= beta_i < p^k
+    beta: Multiplicity
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,10 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
                 center = Multiplicity(
                     *(q * (a + (1 if t == i else 0)) for t, a in enumerate(alpha))
                 )
-                return BallHit(center, "C", i)
+                return BallHit(center, "C", i, alpha, beta)
         if btot > 2 * q:
-            return BallHit(Multiplicity(*(q * (a + 1) for a in alpha)), "D", None)
+            center = Multiplicity(*(q * (a + 1) for a in alpha))
+            return BallHit(center, "D", None, alpha, beta)
     else:
         ctot = 3 * q - btot  # |p^k*(1,1,1) - beta|
         for i in range(3):
@@ -133,25 +136,23 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
                 center = Multiplicity(
                     *(q * (a + (0 if t == i else 1)) for t, a in enumerate(alpha))
                 )
-                return BallHit(center, "E", i)
+                return BallHit(center, "E", i, alpha, beta)
         if ctot > 2 * q:
-            return BallHit(Multiplicity(*(q * a for a in alpha)), "F", None)
+            center = Multiplicity(*(q * a for a in alpha))
+            return BallHit(center, "F", None, alpha, beta)
     return None
 
 
-def compute_k(mu, p: int) -> int:
-    """Largest scale m with 2 p^m <= |mu| whose ball (with balanced center)
-    contains mu; 0 when there is none.  Rejects unbalanced input."""
-    mu = as_multiplicity(mu)
-    if not is_balanced(mu):
-        raise ValueError(f"{tuple(mu)} is unbalanced")
-    best = 0
+def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
+    """The one scale walk: the last m with 2 p^m <= |mu| whose ball has a
+    balanced center, and that ball; (0, None) when there is none."""
+    k, best = 0, None
     m = 1
     while 2 * p**m <= mu.total:
         hit = ball_center(mu, p, m)
         if hit is not None:
             if is_balanced(hit.center):
-                best = m
+                k, best = m, hit
             else:
                 filter_stats["unbalanced_center_rejections"] += 1
                 log.debug(
@@ -161,7 +162,16 @@ def compute_k(mu, p: int) -> int:
                     tuple(hit.center),
                 )
         m += 1
-    return best
+    return k, best
+
+
+def compute_k(mu, p: int) -> int:
+    """Largest scale m with 2 p^m <= |mu| whose ball (with balanced center)
+    contains mu; 0 when there is none.  Rejects unbalanced input."""
+    mu = as_multiplicity(mu)
+    if not is_balanced(mu):
+        raise ValueError(f"{tuple(mu)} is unbalanced")
+    return _walk(mu, p)[0]
 
 
 _CASE_TAG = {"C": "CaseC", "D": "CaseD", "E": "CaseE", "F": "CaseF"}
@@ -173,8 +183,8 @@ def fast_exponents(mu, p: int) -> ExponentReport:
     if not is_balanced(mu):
         return unbalanced_exponents(mu, p)
     total = mu.total
-    k = compute_k(mu, p)
-    if k == 0:
+    k, hit = _walk(mu, p)
+    if hit is None:
         if total % 2:
             return ExponentReport(
                 mu=mu,
@@ -187,11 +197,8 @@ def fast_exponents(mu, p: int) -> ExponentReport:
         return ExponentReport(
             mu=mu, p=p, delta=0, exponents=(total // 2, total // 2), tag="K0Even"
         )
-    hit = ball_center(mu, p, k)
-    if hit is None:
-        raise AssertionError(f"qualifying scale {k} lost its ball for {tuple(mu)}")
     q = p**k
-    alpha, beta = decompose(mu, p, k)
+    alpha, beta = hit.alpha, hit.beta
     atot, btot = alpha.total, beta.total
     if hit.case == "C":
         i = hit.axis
@@ -245,9 +252,9 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
 
     A center of radius p^k is a point of p^k*(balanced odd lattice) not
     contained in any radius-p^m ball around p^m*(balanced odd lattice) for
-    m > k.  The exclusion scan stops once p^m > |zeta|: a ball around a
-    scaled balanced odd center (|nu| >= 3) can only reach points of total
-    above 2 p^m.
+    m > k, i.e. one whose scale walk ends at k: zeta = p^k*nu is its own
+    case-F center at scale k, and the walk's bound 2 p^m <= |zeta| loses no
+    scale because such a ball holds only points of total above 2 p^m.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -261,15 +268,7 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
                 if nu.total % 2 == 0 or not is_balanced(nu):
                     continue
                 zeta = nu.scaled(q)
-                m = k + 1
-                excluded = False
-                while p**m <= zeta.total:
-                    hit = ball_center(zeta, p, m)
-                    if hit is not None and is_balanced(hit.center):
-                        excluded = True
-                        break
-                    m += 1
-                if not excluded:
+                if compute_k(zeta, p) == k:
                     centers.append(zeta)
     centers.sort()
     return CenterSet(p=p, k=k, box=box, centers=centers)

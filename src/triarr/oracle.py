@@ -5,8 +5,10 @@ fields, so the module is determined degree by degree.  This solver knows
 nothing of the closed-form lattice theory: for each degree d it parametrizes
 f = x^m1 * ftilde and g = y^m2 * gtilde, imposes the m3 linear conditions
 "(x+y)^m3 divides f + g" and reads off an exact nullspace basis by Gaussian
-elimination over F_p.  Scanning d upward finds the lower exponent; Saito's
-criterion certifies the resulting pair.
+elimination over F_p.  Multiplying by x maps the degree-d slice into the
+degree-(d+1) slice, so the degrees with a nonzero slice form an up-set and
+the lower exponent, the least of them, is found by bisection over
+[0, |mu|/2]; Saito's criterion certifies the resulting pair.
 
 The (x+y)-conditions are assembled from a signed Pascal matrix
 (coefficients of the change of basis u^j -> (u+1)^k), which is a route
@@ -63,47 +65,18 @@ def row_reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by forward elimination (no back-substitution)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            rows_idx = below + r + 1
-            a[rows_idx] = (a[rows_idx] - np.outer(a[rows_idx, c], a[r])) % p
-        r += 1
-    return r
-
-
 def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Deterministic nullspace basis over F_p, one row per basis vector.
 
     Vectors are indexed by the free columns in ascending order: the vector
     for free column t has entry 1 there and -R[i, t] at each pivot column.
     """
-    a = np.array(mat, dtype=np.int64)
-    rows, cols = a.shape
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = row_reduce_mod_p(a, p)
+    red, pivots = row_reduce_mod_p(mat, p)
+    cols = red.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, t in enumerate(free):
-        basis[k, t] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-red[i, t]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -red[: len(pivots), free].T % p
     return basis
 
 
@@ -185,7 +158,7 @@ def slice_dim(mu, p: int, d: int) -> int:
     m = _constraint_matrix(mu, p, d)
     if m is None:
         return 0
-    return m.shape[1] - rank_mod_p(m, p)
+    return m.shape[1] - len(row_reduce_mod_p(m, p)[1])
 
 
 def degree_slice(mu, p: int, d: int) -> DegreeSlice:
@@ -199,19 +172,24 @@ def degree_slice(mu, p: int, d: int) -> DegreeSlice:
 
 
 def oracle_delta(mu, p: int) -> int:
-    """Exponent gap d2 - d1 by ascending-degree scan (no basis built)."""
+    """Exponent gap d2 - d1 from the bisected lower degree (no basis built)."""
     mu = as_multiplicity(mu)
     return mu.total - 2 * _lower_degree(mu, p)
 
 
 def _lower_degree(mu: Multiplicity, p: int) -> int:
-    for d in range(mu.total // 2 + 1):
-        m = _constraint_matrix(mu, p, d)
-        if m is None:
-            continue
-        if rank_mod_p(m, p) < m.shape[1]:
-            return d
-    raise CertificationError(f"no nonzero slice up to |mu|/2 for {tuple(mu)}")
+    # Bisection is exact: x*theta is in the module whenever theta is, so the
+    # degrees with a nonzero slice form an up-set.
+    lo, hi = 0, mu.total // 2
+    if slice_dim(mu, p, hi) == 0:
+        raise CertificationError(f"no nonzero slice up to |mu|/2 for {tuple(mu)}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if slice_dim(mu, p, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:

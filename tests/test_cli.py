@@ -1,7 +1,7 @@
 import json
 import os
 
-from triarr import atlas, verify
+from triarr import atlas, cli, verify
 
 from triarr.cli import main
 from triarr.derivmod import VectorField, saito_check
@@ -12,6 +12,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        subparsers = []
+        real = cli._common_flags
+
+        def counting(sp, *args, **kwargs):
+            subparsers.append(sp.prog)
+            real(sp, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_common_flags", counting)
+        cli.build_parser.cache_clear()
+        assert run(capsys, "exp", "-p", "3", "--mu", "1,1,1")[0] == 0
+        assert run(capsys, "exp", "-p", "5", "--mu", "3,3,4")[0] == 0
+        assert len(subparsers) == 7
 
 
 class TestExp:
@@ -230,7 +246,8 @@ class TestGamma:
 class TestVerify:
     def test_golden_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "-p", "3", "--suite", "golden")
-        assert code == 0 and "golden" in out and "PASS" in out
+        assert code == 0 and "golden: PASS (12 checks)" in out
+        assert "p=" not in out  # the golden examples fix their own primes
 
     def test_differential_small_box(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 import pytest
 
+from triarr import fastexp
 from triarr.derivmod import Multiplicity, dist1
 from triarr.fastexp import (
     ball_center,
@@ -130,6 +131,18 @@ class TestFastExponents:
         assert r.tag == "CaseE" and r.k == 3 and r.center == (54, 54, 27)
         assert r.alpha == (1, 1, 1) and r.beta == (14, 25, 4)
 
+    def test_one_ball_search_per_scale(self, monkeypatch):
+        # |mu| = 124 admits the scales 3, 9 and 27 (2 * 81 > 124)
+        scales = []
+
+        def counting(mu, p, k):
+            scales.append(k)
+            return ball_center(mu, p, k)
+
+        monkeypatch.setattr(fastexp, "ball_center", counting)
+        assert fast_exponents((41, 52, 31), 3).k == 3
+        assert scales == [1, 2, 3]
+
     def test_euler_point(self):
         for p in (2, 3, 5, 7):
             r = fast_exponents((1, 1, 1), p)
@@ -230,6 +243,34 @@ class TestEnumerateCenters:
                             if min(nb) < 0:
                                 continue
                             assert oracle_delta(tuple(nb), p) == gap - 1
+
+    def test_matches_exclusion_definition(self):
+        # reference: p^k * (balanced odd) points of the box lying in no
+        # balanced-center ball at any scale m > k with p^m <= |zeta|
+        def reference(p, k, bound):
+            q = p**k
+            found = []
+            for nu in box(max(bound) // q):
+                zeta = nu.scaled(q)
+                if nu.total % 2 == 0 or not is_balanced(nu):
+                    continue
+                if any(z > b for z, b in zip(zeta, bound)):
+                    continue
+                m = k + 1
+                while p**m <= zeta.total:
+                    hit = ball_center(zeta, p, m)
+                    if hit is not None and is_balanced(hit.center):
+                        break
+                    m += 1
+                else:
+                    found.append(zeta)
+            return sorted(found)
+
+        for bound in ((9, 9, 9), (30, 20, 25), (36, 36, 36)):
+            for p in (2, 3, 5):
+                for k in (0, 1, 2):
+                    got = enumerate_centers(p, k, bound).centers
+                    assert got == reference(p, k, bound), (bound, p, k)
 
     def test_scaled_center_theorem(self):
         # (g, g', m) maximal with m = g + g' - p^s(g) is a center of radius

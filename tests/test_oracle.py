@@ -3,15 +3,15 @@ import time
 
 import numpy as np
 
+from triarr import oracle
 from triarr.derivmod import Multiplicity, in_module, saito_check
-from triarr.fastexp import enumerate_centers
+from triarr.fastexp import enumerate_centers, fast_exponents
 from triarr.homopoly import HomoPoly
 from triarr.oracle import (
     degree_slice,
     nullspace_mod_p,
     oracle_delta,
     oracle_exponents,
-    rank_mod_p,
     row_reduce_mod_p,
     slice_dim,
 )
@@ -54,7 +54,7 @@ class TestElimination:
                             (a - f * b) % p for a, b in zip(work[r], work[rank])
                         ]
                 rank += 1
-            assert rank_mod_p(m, p) == rank
+            assert len(row_reduce_mod_p(m, p)[1]) == rank
 
     def test_nullspace_vectors_annihilate(self):
         rng = random.Random(55)
@@ -65,7 +65,7 @@ class TestElimination:
                 [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
             ).reshape(rows, cols)
             ns = nullspace_mod_p(m, p)
-            assert ns.shape[0] == cols - rank_mod_p(m, p)
+            assert ns.shape[0] == cols - len(row_reduce_mod_p(m, p)[1])
             if rows and ns.shape[0]:
                 assert (m @ ns.T % p == 0).all()
 
@@ -117,8 +117,37 @@ class TestDegreeSlice:
                             expect = max(0, d - d1 + 1) + max(0, d - d2 + 1)
                             assert slice_dim(mu, p, d) == expect, (mu, p, d)
 
+    def test_lower_degree_is_the_first_nonzero_slice_at_large_mu(self):
+        # balanced points, where the lower degree is not simply |mu| - max
+        rng = random.Random(4242)
+        for _ in range(6):
+            p = rng.choice([2, 3, 5])
+            total = rng.randint(100, 150)
+            mu = Multiplicity(total, 0, 0)
+            while 2 * max(mu) > total:
+                m1 = rng.randint(0, total // 2)
+                m2 = rng.randint(0, total - m1)
+                mu = Multiplicity(m1, m2, total - m1 - m2)
+            d1 = (total - oracle_delta(mu, p)) // 2
+            assert slice_dim(mu, p, d1) > 0, (mu, p)
+            if d1:
+                assert slice_dim(mu, p, d1 - 1) == 0, (mu, p)
+
 
 class TestOracleExponents:
+    def test_bisection_builds_logarithmically_many_slices(self, monkeypatch):
+        # [0, 225] holds 226 degrees: one check at the top, then at most 8 halvings
+        built = []
+        real = oracle._constraint_matrix
+
+        def counting(mu, p, d):
+            built.append(d)
+            return real(mu, p, d)
+
+        monkeypatch.setattr(oracle, "_constraint_matrix", counting)
+        assert oracle_delta((150, 150, 150), 3) == fast_exponents((150, 150, 150), 3).delta
+        assert len(built) <= 9
+
     def test_paper_334(self):
         assert oracle_exponents((3, 3, 4), 2)[:2] == (4, 6)
         assert oracle_exponents((3, 3, 4), 3)[:2] == (4, 6)
