@@ -6,10 +6,13 @@ in [0, p).  The zero polynomial is a distinguished degreeless value so that
 divisibility tests need no fake degree bookkeeping.
 
 The three divisibility tests that define logarithmic membership live here:
-by x^k and y^k (coefficient-window checks) and by (x+y)^c.  The latter is
-decided by synthetic division of the dehomogenization h(u, 1) by (u + 1),
-repeated c times; this is valid in any characteristic, unlike a derivative
-test, and loses nothing because x + y is coprime to y.
+by x^k and y^k (coefficient-window checks) and by (x+y)^c.  The latter
+divides the dehomogenization h(u, 1), which loses nothing because x + y is
+coprime to y.  Over F_p, Frobenius gives (u + 1)^(p^i) = u^(p^i) + 1, so
+(u + 1)^c is the product of s_p(c) sparse factors u^q + 1, one per unit of
+each base-p digit of c; exact division by each is a stride-q recurrence, and
+the test costs O(degree * s_p(c)) steps instead of O(degree * c).  It needs
+no derivative, which would lose information in characteristic p.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class HomoPoly:
         the requested degree.
         """
         p = int(p)
-        cs = tuple(int(c) % p for c in coeffs)
+        cs = tuple(map(p.__rmod__, map(int, coeffs)))
         if degree is not None and cs and degree != len(cs) - 1:
             raise ValueError("degree does not match coefficient count")
         if not any(cs):
@@ -189,26 +192,33 @@ class HomoPoly:
         return not any(window)
 
     def remainder_mod_linear(self, c: int) -> list[int]:
-        """First c coefficients of this polynomial in the shifted basis (u+1)^k.
+        """c residues that all vanish exactly when (x + y)^c divides h.
 
-        Obtained by c rounds of synthetic division of h(u, 1) by (u + 1);
-        (x + y)^c divides h iff every returned entry is 0.
+        h(u, 1) is divided exactly by each Frobenius factor u^q + 1 of
+        (u + 1)^c, largest q first, and the q-term remainders are
+        concatenated.  For c < p every factor is u + 1 and the result is the
+        first c coefficients of h in the shifted basis (u + 1)^k; for larger
+        c it is the mixed-radix remainder with respect to the factors, not
+        those coefficients.
         """
         p = self.p
+        factors = []
+        q = 1
+        while c:
+            c, digit = divmod(c, p)
+            factors[:0] = [q] * digit
+            q *= p
         out = []
         work = list(self.coeffs)
-        for _ in range(c):
-            if not work:
-                out.append(0)
-                continue
-            # synthetic division by (u + 1), i.e. Horner at the root -1
-            acc = 0
-            quot = [0] * (len(work) - 1)
-            for i in range(len(work) - 1, 0, -1):
-                acc = (work[i] - acc) % p
-                quot[i - 1] = acc
-            out.append((work[0] - acc) % p)
-            work = quot
+        for q in factors:
+            # h = quot * (u^q + 1) + rem: a stride-q recurrence from the top
+            quot = work[q:]
+            for j in range(len(quot) - q - 1, -1, -1):
+                quot[j] -= quot[j + q]
+            head = work[:q]
+            out += map(p.__rmod__, [a - b for a, b in zip(head, quot)] + head[len(quot) :])
+            out += [0] * (q - len(head))
+            work = list(map(p.__rmod__, quot))
         return out
 
     def divisible_by_linear_power(self, c: int) -> bool:

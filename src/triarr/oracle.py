@@ -12,7 +12,8 @@ the lower exponent, the least of them, is found by bisection over
 
 The (x+y)-conditions are assembled from a signed Pascal matrix
 (coefficients of the change of basis u^j -> (u+1)^k), which is a route
-independent of the synthetic-division test used by the membership predicate.
+independent of the membership predicate's test, exact division by the
+Frobenius factors u^(p^i) + 1 of (u + 1)^m3.
 """
 
 from __future__ import annotations
@@ -198,14 +199,16 @@ def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
     d1 is the first degree with a nonzero slice; d2 = |mu| - d1.  The low
     generator is the first nullspace vector at d1; the high generator is the
     first vector of the d2-slice whose determinant against it is nonzero
-    (one exists because the module is free).
+    (one exists because the module is free).  When d1 = d2 the one slice
+    serves both.
     """
     mu = as_multiplicity(mu)
     d1 = _lower_degree(mu, p)
     d2 = mu.total - d1
-    low = degree_slice(mu, p, d1).basis[0]
+    low_slice = degree_slice(mu, p, d1)
+    low = low_slice.basis[0]
     high = None
-    for cand in degree_slice(mu, p, d2).basis:
+    for cand in (low_slice if d2 == d1 else degree_slice(mu, p, d2)).basis:
         if not saito_det(low, cand).is_zero:
             high = cand
             break

@@ -181,12 +181,31 @@ class TestRemainderModLinear:
         assert prod.remainder_mod_linear(c) == [0] * c
         assert prod.divisible_by_linear_power(c)
 
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_frobenius_power_is_alternating_stride_sum(self, p, k):
+        # (u+1)^(p^k) = u^c + 1 with c = p^k, and u^c = -1 modulo it
+        c = p**k
+        rng = random.Random(c)
+        for degree in (c // 2, c - 1, c, 3 * c + 2, 5 * c + 1):
+            h = random_poly(rng, p, degree)
+            a = h.coeffs
+            want = [sum((-1) ** t * a[i] for t, i in enumerate(range(j, len(a), c))) % p for j in range(c)]
+            assert h.remainder_mod_linear(c) == want
+
     @settings(max_examples=120, deadline=None)
-    @given(polys(max_degree=8), st.integers(min_value=1, max_value=8))
-    def test_divisibility_agrees_with_long_division(self, h, c):
+    @given(
+        polys(max_degree=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_divisibility_agrees_with_long_division(self, base, e, c):
         # independent oracle: textbook univariate long division of h(u, 1)
-        # by the monic divisor (u+1)^c, then a re-multiplication identity
-        p = h.p
+        # by the monic divisor (u+1)^c, then a re-multiplication identity;
+        # the factor (x+y)^e makes both answers common while c spans
+        # several base-p digits
+        p = base.p
+        h = base * binomial_power(e, p)
         divis = h.divisible_by_linear_power(c)
         if h.is_zero:
             assert divis
@@ -208,6 +227,20 @@ class TestRemainderModLinear:
             q = HomoPoly(p, quot)
             back = q * binomial_power(c, p) if not q.is_zero else HomoPoly.zero(p)
             assert back == h
+
+    def test_multiplicity_at_transport_scale(self):
+        # h = r * (x+y)^e with r(-1, 1) != 0, so (x+y)^e is the exact power
+        rng = random.Random(1500)
+        for p in PRIMES:
+            for _ in range(3):
+                e = rng.randint(200, 1000)
+                r = random_poly(rng, p, rng.randint(0, 1500 - e))
+                r_at = sum((-1) ** i * a for i, a in enumerate(r.coeffs)) % p
+                if not r_at:
+                    r = r + HomoPoly.monomial(p, 0, r.degree or 0)
+                h = r * binomial_power(e, p)
+                assert h.divisible_by_linear_power(e)
+                assert not h.divisible_by_linear_power(e + 1)
 
 
 class TestFrobeniusScale:

@@ -148,6 +148,21 @@ class TestOracleExponents:
         assert oracle_delta((150, 150, 150), 3) == fast_exponents((150, 150, 150), 3).delta
         assert len(built) <= 9
 
+    def test_equal_exponents_build_their_slice_once(self, monkeypatch):
+        # d1 = d2 = 225: the bisection's 8 matrices, then one slice serves both
+        # generators (the top check of the bisection also lands on 225)
+        built = []
+        real = oracle._constraint_matrix
+
+        def counting(mu, p, d):
+            built.append(d)
+            return real(mu, p, d)
+
+        monkeypatch.setattr(oracle, "_constraint_matrix", counting)
+        d1, d2, basis = oracle_exponents((150, 150, 150), 3)
+        assert (d1, d2) == (225, 225) and basis.certified
+        assert len(built) == 9 and built.count(225) == 2
+
     def test_paper_334(self):
         assert oracle_exponents((3, 3, 4), 2)[:2] == (4, 6)
         assert oracle_exponents((3, 3, 4), 3)[:2] == (4, 6)
