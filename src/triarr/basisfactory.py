@@ -17,9 +17,10 @@ Three certified transports move bases around the lattice: the q-th power
 Frobenius (mu -> q mu), the shift theta -> theta(x) x^(p^d) dx -
 theta(y) y^(p^d) dy (mu -> mu + (p^d, p^d, 0), guaranteed when m3 <= p^d),
 and the reflection theta -> dual inside the cube of side p^d
-(mu -> (p^d - m1, p^d - m2, m3)).  plan_basis composes inverse transport
-steps until it can seed a binomial pair (falling back to the brute-force
-solver), then replays the steps forward, certifying each hop.
+(mu -> (p^d - m1, p^d - m2, m3)).  plan_basis recurses on the preimage of
+the first transport that applies until it can seed a binomial pair (falling
+back to the brute-force solver), then applies each transport on the way
+back up, certifying every hop.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .derivmod import (
     as_multiplicity,
     saito_check,
 )
-from .fpcore import binom_mod_p, g_set
+from .fpcore import GuardError, binom_mod_p, g_set, least_dominated
 from .homopoly import HomoPoly
 from .oracle import oracle_exponents
 
@@ -45,15 +46,13 @@ class NotInGammaError(ValueError):
 
 @dataclass(frozen=True)
 class TransformStep:
-    """One basis-transport step, as replayed in the forward direction."""
+    """One basis-transport step, in the order the planner applies it."""
 
     kind: str  # FrobeniusLift | PeriodShift | Dual
     param: int  # q for FrobeniusLift, d for the others
-    inverse: bool = False
 
     def __str__(self):
-        arrow = "~" if self.inverse else ""
-        return f"{arrow}{self.kind}({self.param})"
+        return f"{self.kind}({self.param})"
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,12 @@ class GammaSlice:
 def gamma_membership(mu, p: int) -> bool:
     """Whether the binomial pair is a basis at mu (third coordinate = m).
 
-    Holds iff C(m, j) = 0 mod p for all integers m - m2 < j < m1.
+    Holds iff C(m, j) = 0 mod p for all integers m - m2 < j < m1, i.e. iff
+    the least j > m - m2 with C(m, j) nonzero is at least m1 or absent.
     """
     mu = as_multiplicity(mu)
-    m = mu.mu3
-    lo = max(0, m - mu.mu2 + 1)
-    return all(binom_mod_p(m, j, p) == 0 for j in range(lo, mu.mu1))
+    j = least_dominated(mu.mu3, mu.mu3 - mu.mu2 + 1, p)
+    return j is None or j >= mu.mu1
 
 
 def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
@@ -162,10 +161,7 @@ def frobenius_lift(pair: BasisPair, mu, q: int) -> tuple[BasisPair, Multiplicity
     """Transport a basis for mu to one for q*mu via the q-th power Frobenius."""
     mu = as_multiplicity(mu)
     p = pair.low.p
-    t = int(q)
-    while t > 1 and t % p == 0:
-        t //= p
-    if t != 1 or q < p:
+    if q < p:  # frobenius_scale rejects every q that is not a power of p
         raise ValueError(f"q must be a positive power of {p} with q >= {p}")
     target = mu.scaled(q)
     return _certified_pair(pair.low.frobenius(q), pair.high.frobenius(q), target), target
@@ -176,31 +172,19 @@ def _shift_field(theta: VectorField, e: int) -> VectorField:
     return VectorField(theta.f.times_x_power(e), (-theta.g).times_y_power(e))
 
 
-def _unshift_field(theta: VectorField, e: int) -> VectorField:
-    return VectorField(theta.f.div_x_power(e), (-theta.g).div_y_power(e))
+def period_shift(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
+    """Transport a basis for mu to one for mu + (p^d, p^d, 0).
 
-
-def period_shift(
-    pair: BasisPair, mu, d: int, inverse: bool = False
-) -> tuple[BasisPair, Multiplicity]:
-    """Transport a basis for mu to one for mu +/- (p^d, p^d, 0).
-
-    The forward image is theorem-guaranteed when m3 <= p^d; outside that
-    range the transform is still attempted and the Saito certificate
-    decides, raising CertificationError when the image is not a basis.
+    The image is theorem-guaranteed when m3 <= p^d; outside that range the
+    transform is still attempted and the Saito certificate decides, raising
+    CertificationError when the image is not a basis.
     """
     mu = as_multiplicity(mu)
     if d < 1:
         raise ValueError("period_shift requires d >= 1")
     e = pair.low.p**d
-    if inverse:
-        if mu.mu1 < e or mu.mu2 < e:
-            raise ValueError(f"cannot shift {tuple(mu)} down by {e}")
-        target = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
-        fields = (_unshift_field(pair.low, e), _unshift_field(pair.high, e))
-    else:
-        target = Multiplicity(mu.mu1 + e, mu.mu2 + e, mu.mu3)
-        fields = (_shift_field(pair.low, e), _shift_field(pair.high, e))
+    target = Multiplicity(mu.mu1 + e, mu.mu2 + e, mu.mu3)
+    fields = (_shift_field(pair.low, e), _shift_field(pair.high, e))
     return _certified_pair(*fields, target), target
 
 
@@ -222,10 +206,8 @@ def dual_basis(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
     mu = as_multiplicity(mu)
     if d < 1:
         raise ValueError("dual_basis requires d >= 1")
+    target = dual_multiplicity(mu, pair.low.p, d)
     e = pair.low.p**d
-    if max(mu) > e:
-        raise ValueError(f"{tuple(mu)} is not inside the cube of side {e}")
-    target = Multiplicity(e - mu.mu1, e - mu.mu2, mu.mu3)
     fields = (_dual_field(pair.low, mu, e), _dual_field(pair.high, mu, e))
     return _certified_pair(*fields, target), target
 
@@ -242,76 +224,60 @@ def dual_multiplicity(mu, p: int, d: int) -> Multiplicity:
 # -- the planner --------------------------------------------------------------
 
 
-def _min_power_at_least(p: int, n: int) -> int:
+def _plan(mu: Multiplicity, p: int) -> tuple[BasisPair, list[TransformStep]]:
+    """plan_basis without its fallback: a failed hop raises CertificationError."""
+    if gamma_membership(mu, p):
+        return psi_basis(mu, p), []
+    if mu.total > 0 and all(c % p == 0 for c in mu):
+        pre = Multiplicity(mu.mu1 // p, mu.mu2 // p, mu.mu3 // p)
+        pair, trace = _plan(pre, p)
+        trace.append(TransformStep("FrobeniusLift", p))
+        return frobenius_lift(pair, pre, p)[0], trace
     d = 1
-    while p**d < n:
+    while p ** (d + 1) <= min(mu.mu1, mu.mu2):
         d += 1
-    return d
+    e = p**d
+    if mu.mu3 <= e <= min(mu.mu1, mu.mu2):
+        pre = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
+        pair, trace = _plan(pre, p)
+        trace.append(TransformStep("PeriodShift", d))
+        return period_shift(pair, pre, d)[0], trace
+    d = 1
+    while p**d < max(mu):
+        d += 1
+    nu = dual_multiplicity(mu, p, d)
+    if gamma_membership(nu, p):
+        return dual_basis(psi_basis(nu, p), nu, d)[0], [TransformStep("Dual", d)]
+    return oracle_exponents(mu, p)[2], []
 
 
 def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     """Certified basis for any mu, preferring transported binomial pairs.
 
-    Planning walks mu downward: direct binomial seed when available, else
-    divide out a common factor p (inverse Frobenius), else shift down by
-    the largest theorem-safe p^d (m3 <= p^d <= min(m1, m2)), else reflect
-    through the smallest enclosing cube if that lands in the binomial
-    region, else seed from the brute-force solver.  Shifts outside the
-    theorem range are never planned: the shifted image of the monomial
-    pair element has (x+y)-order exactly p^d, so such a hop cannot
-    certify.  The recorded steps are replayed forward with a Saito
-    certificate at every hop; a failed hop (a bug by construction) falls
-    back to the brute-force solver at the original mu.
+    The first rule that applies decides: the binomial seed when mu is in
+    the binomial region; else the Frobenius lift of the plan for mu/p when
+    p divides every coordinate; else the period shift of the plan for
+    mu - (p^d, p^d, 0) with the largest theorem-safe d (m3 <= p^d <=
+    min(m1, m2)); else the reflection through the smallest enclosing cube
+    if that lands in the binomial region; else the brute-force solver.
+    Shifts outside the theorem range are never planned: the shifted image
+    of the monomial pair element has (x+y)-order exactly p^d, so such a hop
+    cannot certify.  Every hop carries a Saito certificate and the trace
+    lists the hops in the order they were applied.  A failed hop (a bug by
+    construction) anywhere in the recursion falls back to the brute-force
+    solver at the original mu, with an empty trace.  A plan too long for
+    the interpreter's recursion limit (only possible for p above about 200,
+    where one level can take p - 1 shifts) raises GuardError.
     """
     mu = as_multiplicity(mu)
-    original = mu
-    steps: list[TransformStep] = []  # recorded while planning downward
-    pre_trace: list[TransformStep] = []  # dual applied eagerly at the seed
-    seed: BasisPair | None = None
-    while True:
-        if gamma_membership(mu, p):
-            seed = psi_basis(mu, p)
-            break
-        if mu.total > 0 and all(c % p == 0 for c in mu):
-            steps.append(TransformStep("FrobeniusLift", p))
-            mu = Multiplicity(mu.mu1 // p, mu.mu2 // p, mu.mu3 // p)
-            continue
-        shifted = False
-        if min(mu.mu1, mu.mu2) >= p:
-            d = 1
-            while p ** (d + 1) <= min(mu.mu1, mu.mu2):
-                d += 1
-            while d >= 1:
-                e = p**d
-                if mu.mu3 <= e:
-                    steps.append(TransformStep("PeriodShift", d))
-                    mu = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
-                    shifted = True
-                    break
-                d -= 1
-        if shifted:
-            continue
-        d = _min_power_at_least(p, max(mu)) if max(mu) else 1
-        nu = dual_multiplicity(mu, p, d)
-        if gamma_membership(nu, p):
-            seed = dual_basis(psi_basis(nu, p), nu, d)[0]
-            pre_trace = [TransformStep("Dual", d)]
-            break
-        _, _, seed = oracle_exponents(mu, p)
-        break
-
     try:
-        pair = seed
-        for step in reversed(steps):
-            if step.kind == "FrobeniusLift":
-                pair, mu = frobenius_lift(pair, mu, step.param)
-            else:
-                pair, mu = period_shift(pair, mu, step.param)
-        trace = pre_trace + list(reversed(steps))
+        pair, trace = _plan(mu, p)
+    except RecursionError:
+        # ~1000 hops; certifying them at such |mu| would take tens of minutes
+        raise GuardError(f"plan for {tuple(mu)} exceeds the recursion limit") from None
     except CertificationError:
-        _, _, pair = oracle_exponents(original, p)
-        mu, trace = original, []
-
-    if mu != original or not saito_check(pair.low, pair.high, original):
-        raise CertificationError(f"planner lost certification for {tuple(original)}")
+        _, _, pair = oracle_exponents(mu, p)
+        trace = []
+    if not saito_check(pair.low, pair.high, mu):
+        raise CertificationError(f"planner lost certification for {tuple(mu)}")
     return _normalized(pair), trace

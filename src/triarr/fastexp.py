@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .derivmod import Multiplicity, as_multiplicity
+from .fpcore import DEGREE_GUARD, GuardError
 
 log = logging.getLogger(__name__)
 
@@ -258,6 +259,9 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    # p >= 2, so k > 32 already exceeds the guard; no box admits such a ball
+    if k > 32 or p**k > DEGREE_GUARD:
+        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
     box = as_multiplicity(box)
     q = p**k
     centers = []

@@ -120,3 +120,24 @@ def g_set(m: int, p: int) -> list[int]:
         members.append(from_digits(choice, p))
     members.sort()
     return members
+
+
+def least_dominated(m: int, lo: int, p: int) -> int | None:
+    """Least j >= lo whose base-p digits are each <= those of m, or None.
+
+    Equivalently (Lucas): the least j >= lo with C(m, j) not divisible by p.
+    Keeps lo's digits above the highest digit that exceeds m's, raises the
+    lowest of those that has room and clears everything below it.
+    """
+    lo = max(lo, 0)
+    if lo > m:
+        return None
+    md, ld = digits(m, p), digits(lo, p)
+    ld += [0] * (len(md) - len(ld))
+    top = next((i for i in reversed(range(len(md))) if ld[i] > md[i]), None)
+    if top is None:
+        return lo
+    for k in range(top + 1, len(md)):
+        if ld[k] < md[k]:
+            return from_digits([0] * k + [ld[k] + 1] + ld[k + 1 :], p)
+    return None

@@ -25,16 +25,13 @@ class HomoPoly:
 
     __slots__ = ("p", "degree", "coeffs")
 
-    def __init__(self, p: int, coeffs, degree: int | None = None):
+    def __init__(self, p: int, coeffs):
         """Build from an ascending-in-x coefficient vector.
 
-        An empty or all-zero vector yields the zero polynomial regardless of
-        the requested degree.
+        An empty or all-zero vector yields the zero polynomial.
         """
         p = int(p)
         cs = tuple(map(p.__rmod__, map(int, coeffs)))
-        if degree is not None and cs and degree != len(cs) - 1:
-            raise ValueError("degree does not match coefficient count")
         if not any(cs):
             cs = ()
         self.p = p

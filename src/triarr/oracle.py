@@ -74,7 +74,7 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """
     red, pivots = row_reduce_mod_p(mat, p)
     cols = red.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)).difference(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -red[: len(pivots), free].T % p
@@ -138,6 +138,14 @@ def _vector_field(mu: Multiplicity, p: int, d: int, vec: np.ndarray) -> VectorFi
     return VectorField(HomoPoly(p, f_coeffs), HomoPoly(p, g_coeffs))
 
 
+def _nullspace(mu: Multiplicity, p: int, d: int) -> np.ndarray:
+    """Nullspace of the degree-d constraints; no rows when there are no unknowns."""
+    m = _constraint_matrix(mu, p, d)
+    if m is None:
+        return np.zeros((0, 0), dtype=np.int64)
+    return nullspace_mod_p(m, p)
+
+
 # -- public solver -----------------------------------------------------------
 
 
@@ -165,50 +173,49 @@ def slice_dim(mu, p: int, d: int) -> int:
 def degree_slice(mu, p: int, d: int) -> DegreeSlice:
     """Nullspace basis of the degree-d graded piece, in elimination order."""
     mu = as_multiplicity(mu)
-    m = _constraint_matrix(mu, p, d)
-    if m is None:
-        return DegreeSlice(d, [])
-    vecs = nullspace_mod_p(m, p)
-    return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in vecs])
+    return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _nullspace(mu, p, d)])
 
 
 def oracle_delta(mu, p: int) -> int:
     """Exponent gap d2 - d1 from the bisected lower degree (no basis built)."""
     mu = as_multiplicity(mu)
-    return mu.total - 2 * _lower_degree(mu, p)
+    return mu.total - 2 * _lowest_slice(mu, p)[0]
 
 
-def _lower_degree(mu: Multiplicity, p: int) -> int:
+def _lowest_slice(mu: Multiplicity, p: int) -> tuple[int, np.ndarray]:
+    """The least degree with a nonzero slice, and that slice's nullspace."""
     # Bisection is exact: x*theta is in the module whenever theta is, so the
     # degrees with a nonzero slice form an up-set.
     lo, hi = 0, mu.total // 2
-    if slice_dim(mu, p, hi) == 0:
+    vecs = _nullspace(mu, p, hi)
+    if not len(vecs):
         raise CertificationError(f"no nonzero slice up to |mu|/2 for {tuple(mu)}")
     while lo < hi:
         mid = (lo + hi) // 2
-        if slice_dim(mu, p, mid):
-            hi = mid
+        found = _nullspace(mu, p, mid)
+        if len(found):
+            hi, vecs = mid, found
         else:
             lo = mid + 1
-    return lo
+    return lo, vecs
 
 
 def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
     """Exponents (d1, d2) and a Saito-certified basis, by brute force.
 
     d1 is the first degree with a nonzero slice; d2 = |mu| - d1.  The low
-    generator is the first nullspace vector at d1; the high generator is the
-    first vector of the d2-slice whose determinant against it is nonzero
-    (one exists because the module is free).  When d1 = d2 the one slice
-    serves both.
+    generator is the first vector of the d1 nullspace the bisection kept;
+    the high generator is the first vector of the d2-slice whose determinant
+    against it is nonzero (one exists because the module is free).  When
+    d1 = d2 the kept nullspace serves both, so no slice is eliminated twice.
     """
     mu = as_multiplicity(mu)
-    d1 = _lower_degree(mu, p)
+    d1, low_vecs = _lowest_slice(mu, p)
     d2 = mu.total - d1
-    low_slice = degree_slice(mu, p, d1)
-    low = low_slice.basis[0]
+    low = _vector_field(mu, p, d1, low_vecs[0])
     high = None
-    for cand in (low_slice if d2 == d1 else degree_slice(mu, p, d2)).basis:
+    for vec in low_vecs if d2 == d1 else _nullspace(mu, p, d2):
+        cand = _vector_field(mu, p, d2, vec)
         if not saito_det(low, cand).is_zero:
             high = cand
             break

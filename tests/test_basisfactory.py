@@ -1,9 +1,12 @@
+import itertools
 import random
+import sys
 
 import pytest
 
 from triarr.basisfactory import (
     NotInGammaError,
+    _normalized,
     b_set,
     dual_basis,
     dual_multiplicity,
@@ -27,9 +30,68 @@ from triarr.derivmod import (
     saito_det,
 )
 from triarr.fastexp import fast_exponents
-from triarr.fpcore import binom_mod_p, s_index
+from triarr.fpcore import GuardError, binom_mod_p, s_index
 from triarr.homopoly import HomoPoly
 from triarr.oracle import oracle_delta, oracle_exponents
+
+
+def _scan_membership(mu, p):
+    """The binomial-region definition: one Lucas binomial per m - m2 < j < m1."""
+    m1, m2, m = mu
+    return all(binom_mod_p(m, j, p) == 0 for j in range(max(0, m - m2 + 1), m1))
+
+
+def _reference_plan(mu, p):
+    """Record-and-replay planner: walk mu down recording steps, replay them up.
+
+    Returns the pair and the trace as strings, for comparison with plan_basis.
+    """
+    mu = Multiplicity(*mu)
+    original = mu
+    steps = []  # (kind, param), recorded while walking down
+    pre_trace = []  # the reflection, applied eagerly at the seed
+    while True:
+        if _scan_membership(mu, p):
+            seed = psi_basis(mu, p)
+            break
+        if mu.total > 0 and all(c % p == 0 for c in mu):
+            steps.append(("FrobeniusLift", p))
+            mu = Multiplicity(mu.mu1 // p, mu.mu2 // p, mu.mu3 // p)
+            continue
+        shifted = False
+        if min(mu.mu1, mu.mu2) >= p:
+            d = 1
+            while p ** (d + 1) <= min(mu.mu1, mu.mu2):
+                d += 1
+            while d >= 1:
+                e = p**d
+                if mu.mu3 <= e:
+                    steps.append(("PeriodShift", d))
+                    mu = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
+                    shifted = True
+                    break
+                d -= 1
+        if shifted:
+            continue
+        d = 1
+        while p**d < max(mu):
+            d += 1
+        nu = dual_multiplicity(mu, p, d)
+        if _scan_membership(nu, p):
+            seed = dual_basis(psi_basis(nu, p), nu, d)[0]
+            pre_trace = [("Dual", d)]
+            break
+        _, _, seed = oracle_exponents(mu, p)
+        break
+    pair = seed
+    for kind, param in reversed(steps):
+        if kind == "FrobeniusLift":
+            pair, mu = frobenius_lift(pair, mu, param)
+        else:
+            pair, mu = period_shift(pair, mu, param)
+    assert mu == original and saito_check(pair.low, pair.high, original)
+    trace = pre_trace + list(reversed(steps))
+    return _normalized(pair), [f"{kind}({param})" for kind, param in trace]
 
 
 class TestGammaMembership:
@@ -48,6 +110,17 @@ class TestGammaMembership:
     def test_paper_m16_members(self):
         assert gamma_membership((9, 9, 16), 3)
         assert not gamma_membership((10, 8, 16), 3)
+
+    def test_agrees_with_per_j_definition(self):
+        for p in (2, 3, 5, 7):
+            for mu in itertools.product(range(25), repeat=3):
+                assert gamma_membership(mu, p) == _scan_membership(mu, p), (mu, p)
+
+    def test_far_outside_input_answers_by_digits(self):
+        # each would scan 2^30 or more binomials C(m, j) that vanish mod 2
+        assert gamma_membership((200_000_000, 0, 1 << 20), 2)
+        assert gamma_membership((1 << 30, 1 << 30, 1 << 30), 2)
+        assert not gamma_membership((1 << 31, 1 << 30, 1 << 30), 2)
 
     def test_lower_set_property(self):
         # membership is inherited downward, exhaustively for m <= 20
@@ -277,24 +350,12 @@ class TestPeriodShift:
         assert target == (5, 5, 3)
         assert shifted.exponents == (pair.exponents[0] + 3, pair.exponents[1] + 3)
 
-    def test_inverse_roundtrip(self):
-        pair = psi_basis((2, 2, 3), 3)
-        shifted, target = period_shift(pair, (2, 2, 3), 1)
-        back, source = period_shift(shifted, target, 1, inverse=True)
-        assert source == (2, 2, 3)
-        assert back.low == pair.low and back.high == pair.high
-
     def test_out_of_range_shift_raises_certification(self):
         # the monomial element's image has (x+y)-order exactly p^d, so a
         # shift with m3 > p^d can never be a basis
         pair = psi_basis((14, 25, 31), 3)
         with pytest.raises(CertificationError):
             period_shift(pair, (14, 25, 31), 3)
-
-    def test_inverse_requires_headroom(self):
-        pair = psi_basis((2, 2, 3), 3)
-        with pytest.raises(ValueError):
-            period_shift(pair, (2, 2, 3), 1, inverse=True)
 
 
 class TestDualBasis:
@@ -342,10 +403,26 @@ class TestDualBasis:
 
 
 class TestPlanBasis:
+    def test_matches_record_and_replay_reference(self):
+        for p in (2, 3, 5, 7):
+            for mu in itertools.product(range(9), repeat=3):
+                pair, trace = plan_basis(mu, p)
+                ref_pair, ref_trace = _reference_plan(mu, p)
+                assert pair.low.to_text() == ref_pair.low.to_text(), (mu, p)
+                assert pair.high.to_text() == ref_pair.high.to_text(), (mu, p)
+                assert [str(t) for t in trace] == ref_trace, (mu, p)
+
     def test_direct_region_no_steps(self):
         pair, trace = plan_basis((3, 3, 4), 2)
         assert trace == []
         assert pair.low.to_text() == "(x^4) dx + (y^4) dy"
+
+    def test_plan_deeper_than_the_recursion_limit_is_refused(self):
+        # one shift by p per level down to the seed (0, 0, 5); each hop would
+        # be certified at degree up to 2 * p * k, beyond desk scale
+        p, k = 10007, sys.getrecursionlimit() + 1
+        with pytest.raises(GuardError):
+            plan_basis((p * k, p * k, 5), p)
 
     def test_oracle_fallback_for_eg31(self):
         # the worked-out shift route is unsound here (see the regression

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 from triarr import atlas, cli, verify
 
@@ -229,6 +230,18 @@ class TestCenters:
         )
         assert code == 0 and json.loads(out)["centers"] == []
 
+    def test_radius_beyond_guard_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "centers", "-p", "3", "-k", "1000000000", "--box", "1,1,1"
+        )
+        assert code == 2 and "guard" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_radius_at_guard_is_empty(self, capsys):
+        code, out, _ = run(capsys, "centers", "-p", "2", "-k", "32", "--box", "1,1,1")
+        assert code == 0 and out == "centers of radius 4294967296 within (1, 1, 1):\n"
+
 
 class TestGamma:
     def test_m16_lists(self, capsys):
@@ -241,6 +254,17 @@ class TestGamma:
     def test_membership_flag(self, capsys):
         code, out, _ = run(capsys, "gamma", "-p", "3", "-m", "4", "--mu", "3,3,4")
         assert code == 0 and "member((3, 3, 4)): true" in out
+
+    def test_membership_far_outside_answers_at_once(self, capsys):
+        # a per-j scan would test 2 * 10^8 or 2^30 binomials, all zero mod 2
+        for m, mu in (
+            ("1048576", "200000000,0,1048576"),
+            ("1073741824", "1073741824,1073741824,1073741824"),
+        ):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "gamma", "-p", "2", "-m", m, "--mu", mu)
+            assert code == 0 and out.endswith("): true\n")
+            assert time.perf_counter() - start < 1.0
 
 
 class TestVerify:

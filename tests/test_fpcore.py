@@ -12,6 +12,7 @@ from triarr.fpcore import (
     from_digits,
     g_set,
     is_prime,
+    least_dominated,
     s_index,
 )
 
@@ -135,3 +136,18 @@ class TestGSet:
     def test_guard(self):
         with pytest.raises(GuardError):
             g_set((1 << 25) - 1, 2)
+
+
+class TestLeastDominated:
+    def test_agrees_with_g_set(self):
+        for p in PRIMES:
+            for m in range(150):
+                gs = g_set(m, p)
+                for lo in range(-2, m + 3):
+                    expect = next((g for g in gs if g >= lo), None)
+                    assert least_dominated(m, lo, p) == expect, (m, lo, p)
+
+    def test_large_m_by_digits(self):
+        # G_(2^30) = {0, 2^30}: the walk jumps over 2^30 - 1 zero binomials
+        assert least_dominated(1 << 30, 1, 2) == 1 << 30
+        assert least_dominated(1 << 30, (1 << 30) + 1, 2) is None

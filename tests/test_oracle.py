@@ -135,8 +135,8 @@ class TestDegreeSlice:
 
 
 class TestOracleExponents:
-    def test_bisection_builds_logarithmically_many_slices(self, monkeypatch):
-        # [0, 225] holds 226 degrees: one check at the top, then at most 8 halvings
+    @staticmethod
+    def _record_built_degrees(monkeypatch):
         built = []
         real = oracle._constraint_matrix
 
@@ -145,23 +145,28 @@ class TestOracleExponents:
             return real(mu, p, d)
 
         monkeypatch.setattr(oracle, "_constraint_matrix", counting)
+        return built
+
+    def test_bisection_builds_logarithmically_many_slices(self, monkeypatch):
+        # [0, 225] holds 226 degrees: one check at the top, then at most 8 halvings
+        built = self._record_built_degrees(monkeypatch)
         assert oracle_delta((150, 150, 150), 3) == fast_exponents((150, 150, 150), 3).delta
         assert len(built) <= 9
 
     def test_equal_exponents_build_their_slice_once(self, monkeypatch):
-        # d1 = d2 = 225: the bisection's 8 matrices, then one slice serves both
-        # generators (the top check of the bisection also lands on 225)
-        built = []
-        real = oracle._constraint_matrix
-
-        def counting(mu, p, d):
-            built.append(d)
-            return real(mu, p, d)
-
-        monkeypatch.setattr(oracle, "_constraint_matrix", counting)
+        # d1 = d2 = 225: the bisection's 8 matrices, and the nullspace it kept
+        # at 225 serves both generators
+        built = self._record_built_degrees(monkeypatch)
         d1, d2, basis = oracle_exponents((150, 150, 150), 3)
         assert (d1, d2) == (225, 225) and basis.certified
-        assert len(built) == 9 and built.count(225) == 2
+        assert len(built) == 8 and built.count(225) == 1
+
+    def test_low_generator_reuses_the_bisection_slice(self, monkeypatch):
+        # d1 = 58 < d2 = 66: only the d2-slice is built after the bisection
+        built = self._record_built_degrees(monkeypatch)
+        d1, d2, basis = oracle_exponents((41, 52, 31), 3)
+        assert (d1, d2) == (58, 66) and basis.certified
+        assert built == [62, 31, 47, 55, 59, 57, 58, 66]
 
     def test_paper_334(self):
         assert oracle_exponents((3, 3, 4), 2)[:2] == (4, 6)
