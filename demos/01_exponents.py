@@ -26,7 +26,7 @@ print(f"  gap={r.delta}, exp={r.exponents}")
 print(f"  component: radius {r.radius} ball centered at {tuple(r.center)}")
 
 print()
-print("The brute-force solver agrees and certifies a basis:")
+print("The lattice solver agrees and certifies a basis:")
 d1, d2, pair = oracle_exponents((41, 52, 31), 3)
 print(f"  oracle exp=({d1}, {d2}), certified={pair.certified}")
 print(f"  low generator: {pair.low.to_text()}")

@@ -42,7 +42,7 @@ back, mu_back = dual_basis(dual, mu_dual, 2)
 print(f"  reflecting again returns {tuple(mu_back)}")
 
 print()
-print("The planner composes transports and falls back to brute force:")
+print("The planner composes transports and falls back to the lattice solver:")
 for mu, q in [((9, 9, 2), 2), ((8, 8, 4), 5), ((6, 10, 8), 2), ((41, 52, 31), 3)]:
     planned, trace = plan_basis(mu, q)
     steps = ", ".join(str(t) for t in trace) or "direct/oracle seed"

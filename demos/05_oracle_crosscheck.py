@@ -1,6 +1,6 @@
-"""Differential testing: the closed form against the brute-force solver.
+"""Differential testing: the closed form against the lattice solver.
 
-The solver knows only the membership conditions and linear algebra; the
+The solver knows only the membership conditions and lattice reduction; the
 closed form knows only lattice geometry.  Agreement on a box, neighbor by
 neighbor, is the strongest evidence either is right.
 """

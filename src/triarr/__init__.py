@@ -2,7 +2,7 @@
 
 Exact computations over a prime field F_p for the multiarrangement defined
 by x^m1 y^m2 (x+y)^m3: a closed-form exponent engine driven by the geometry
-of the multiplicity lattice, an independent brute-force nullspace oracle,
+of the multiplicity lattice, an independent polynomial-lattice oracle,
 explicit binomial bases with certified basis transports, lattice atlases,
 and a differential verification harness.  Every basis any code path emits
 is certified by Saito's criterion.

@@ -19,7 +19,7 @@ theta(y) y^(p^d) dy (mu -> mu + (p^d, p^d, 0), guaranteed when m3 <= p^d),
 and the reflection theta -> dual inside the cube of side p^d
 (mu -> (p^d - m1, p^d - m2, m3)).  plan_basis recurses on the preimage of
 the first transport that applies until it can seed a binomial pair (falling
-back to the brute-force solver), then applies each transport on the way
+back to the lattice solver), then applies each transport on the way
 back up, certifying every hop.
 """
 
@@ -259,12 +259,12 @@ def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     p divides every coordinate; else the period shift of the plan for
     mu - (p^d, p^d, 0) with the largest theorem-safe d (m3 <= p^d <=
     min(m1, m2)); else the reflection through the smallest enclosing cube
-    if that lands in the binomial region; else the brute-force solver.
+    if that lands in the binomial region; else the lattice solver.
     Shifts outside the theorem range are never planned: the shifted image
     of the monomial pair element has (x+y)-order exactly p^d, so such a hop
     cannot certify.  Every hop carries a Saito certificate and the trace
     lists the hops in the order they were applied.  A failed hop (a bug by
-    construction) anywhere in the recursion falls back to the brute-force
+    construction) anywhere in the recursion falls back to the lattice
     solver at the original mu, with an empty trace.  A plan too long for
     the interpreter's recursion limit (only possible for p above about 200,
     where one level can take p - 1 shifts) raises GuardError.

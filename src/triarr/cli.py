@@ -269,7 +269,7 @@ def _cmd_verify(args):
     p = Prime(args.prime)
     names = [t.strip() for t in args.suite.split(",") if t.strip()]
     box = _parse_mu(args.box) if args.box else None
-    results = verify.run_suites(names, p, box=box, seed=args.seed, workers=args.workers)
+    results = verify.run_suites(names, p, box=box, seed=args.seed)
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append("all suites passed" if ok else "FAILURES detected")

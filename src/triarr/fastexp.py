@@ -30,6 +30,10 @@ log = logging.getLogger(__name__)
 # but its center is unbalanced (and the scale was therefore rejected).
 filter_stats = {"unbalanced_center_rejections": 0}
 
+# Most points enumerate_centers scans (about a minute of looping); verify's
+# default centers box at p = 7 has 197^3 of them at radius 1.
+CENTER_CANDIDATE_GUARD = 1 << 23
+
 
 class BallHit(NamedTuple):
     """The unique radius-p^k ball around p^k*(odd lattice) containing mu."""
@@ -255,7 +259,8 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     contained in any radius-p^m ball around p^m*(balanced odd lattice) for
     m > k, i.e. one whose scale walk ends at k: zeta = p^k*nu is its own
     case-F center at scale k, and the walk's bound 2 p^m <= |zeta| loses no
-    scale because such a ball holds only points of total above 2 p^m.
+    scale because such a ball holds only points of total above 2 p^m.  A box
+    with more than CENTER_CANDIDATE_GUARD points p^k * nu raises GuardError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -264,6 +269,8 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
         raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
     box = as_multiplicity(box)
     q = p**k
+    if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
+        raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")
     centers = []
     for n1 in range(0, box.mu1 // q + 1):
         for n2 in range(0, box.mu2 // q + 1):

@@ -1,7 +1,7 @@
 """Prime-field residues and base-p digit combinatorics.
 
 Everything downstream (polynomial coefficients, lattice formulas, the
-brute-force solver) reduces to the handful of primitives here: validated
+lattice solver) reduces to the handful of primitives here: validated
 prime moduli, base-p digit vectors, Lucas binomials (as plain int
 residues) and the digit-dominance set G_m.
 """

@@ -1,26 +1,20 @@
-"""Ground-truth solver: graded nullspaces of the logarithmic module over F_p.
+"""Ground-truth solver: the logarithmic module as a rank-2 polynomial lattice.
 
-Every multiplicity on two variables admits a free basis of two homogeneous
-fields, so the module is determined degree by degree.  This solver knows
-nothing of the closed-form lattice theory: for each degree d it parametrizes
-f = x^m1 * ftilde and g = y^m2 * gtilde, imposes the m3 linear conditions
-"(x+y)^m3 divides f + g" and reads off an exact nullspace basis by Gaussian
-elimination over F_p.  Multiplying by x maps the degree-d slice into the
-degree-(d+1) slice, so the degrees with a nonzero slice form an up-set and
-the lower exponent, the least of them, is found by bisection over
-[0, |mu|/2]; Saito's criterion certifies the resulting pair.
-
-The (x+y)-conditions are assembled from a signed Pascal matrix
-(coefficients of the change of basis u^j -> (u+1)^k), which is a route
-independent of the membership predicate's test, exact division by the
-Frobenius factors u^(p^i) + 1 of (u + 1)^m3.
+With u = x/y, a degree-d field f dx + g dy (x^m1 | f, y^m2 | g) is the pair
+(F, G) = (f(u, 1)/u^m1, g(u, 1)) with u^m1 F + G = 0 mod (u + 1)^m3 and shifted
+degree max(deg F + m1, deg G + m2) <= d.  Mulders-Storjohann (J. Symbolic
+Comput. 35, 2003) brings the generators (1, -(u^m1 mod (u + 1)^m3)) and
+(0, (u + 1)^m3) to weak Popov form; the rows' shifted degrees d1 <= d2 are the
+exponents, and the rows' shifts span every slice.  Slice coordinates are F's
+coefficients, then G's; emitted bases are reduced echelon read from the last
+column.  Saito's criterion certifies every pair.  No ball geometry is used,
+so the solver stays an independent referee for fastexp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .derivmod import (
     BasisPair,
@@ -29,121 +23,156 @@ from .derivmod import (
     VectorField,
     as_multiplicity,
     saito_check,
-    saito_det,
 )
-from .homopoly import HomoPoly
+from .fpcore import binom_mod_p
+from .homopoly import HomoPoly, binomial_power
 
-# -- GF(p) dense elimination kernels ---------------------------------------
+# perfbench/run.py --trace 1 sums this table for its Pascal-cache metric.  The
+# lattice engine keeps no such table, so it stays empty until that metric goes.
+_pascal_cache: dict = {}
+
+# -- polynomial lattice: a row is a pair (F, G) of coefficient lists over F_p,
+# ascending in u and without trailing zeros -----------------------------------
 
 
-def row_reduce_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p with deterministic pivoting.
+def _taylor_shift(c: list[int], p: int) -> list[int]:
+    """Coefficients of R(u + 1) for R(v) = sum c_k v^k: blocks of q = p^i
+    coefficients, shifted recursively, joined by Horner in (u + 1)^q = u^q + 1."""
+    n = len(c)
+    if n <= 1:
+        return list(c)
+    q = 1
+    while q * p < n:
+        q *= p
+    blocks = [_taylor_shift(c[i : i + q], p) for i in range(0, n, q)]
+    acc = blocks.pop()
+    for block in reversed(blocks):
+        acc = [0] * q + acc
+        for i in range(len(acc) - q):
+            acc[i] += acc[i + q]
+        for i, b in enumerate(block):
+            acc[i] += b
+        acc = [a % p for a in acc]
+    return acc
 
-    Pivots are chosen as the first row with a nonzero entry, scanning
-    columns left to right; exact arithmetic on int64 residues.
-    """
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _generators(mu: Multiplicity, p: int) -> list[tuple[list[int], list[int]]]:
+    """(1, -(u^m1 mod (u+1)^m3)) and (0, (u+1)^m3)."""
+    m1, _, m3 = mu
+    # with v = u + 1, -(u^m1 mod (u+1)^m3) is -(v - 1)^m1 cut below v^m3
+    neg = [binom_mod_p(m1, k, p) * (-1) ** (m1 - k + 1) % p for k in range(min(m3, m1 + 1))]
+    return [([1], _trim(_taylor_shift(neg, p))), ([], list(binomial_power(m3, p).coeffs))]
+
+
+def _leading(row, mu: Multiplicity) -> tuple[int, int]:
+    """(shifted degree, leading position); ties go to G, the right position."""
+    f, g = row
+    df = len(f) - 1 + mu.mu1 if f else -1
+    dg = len(g) - 1 + mu.mu2 if g else -1
+    return (dg, 1) if dg >= df else (df, 0)
+
+
+class LatticeBasis(NamedTuple):
+    """Weak Popov rows (low, high) of shifted degrees d1 <= d2."""
+
+    low: tuple[list[int], list[int]]
+    high: tuple[list[int], list[int]]
+    degrees: tuple[int, int]
+    steps: int  # cancellations: c u^t times the lower row off the higher
+
+
+def lattice_basis(mu, p: int) -> LatticeBasis:
+    """Mulders-Storjohann reduction of the generators to weak Popov form."""
+    mu = as_multiplicity(mu)
+    rows = _generators(mu, p)
+    steps = 0
+    while True:
+        (s0, j0), (s1, j1) = (_leading(r, mu) for r in rows)
+        if j0 != j1:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        hit = np.nonzero(a[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(a[hit, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        hi, lo = rows if s0 >= s1 else rows[::-1]
+        t = abs(s0 - s1)
+        c = hi[j0][-1] * pow(lo[j0][-1], p - 2, p) % p
+        for a, b in zip(hi, lo):
+            if len(a) < len(b) + t:
+                a.extend([0] * (len(b) + t - len(a)))
+            for i, x in enumerate(b, t):
+                a[i] = (a[i] - c * x) % p
+            _trim(a)
+        steps += 1
+    if s0 > s1:
+        rows.reverse()
+        s0, s1 = s1, s0
+    return LatticeBasis(rows[0], rows[1], (s0, s1), steps)
 
 
-def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Deterministic nullspace basis over F_p, one row per basis vector.
-
-    Vectors are indexed by the free columns in ascending order: the vector
-    for free column t has entry 1 there and -R[i, t] at each pivot column.
-    """
-    red, pivots = row_reduce_mod_p(mat, p)
-    cols = red.shape[1]
-    free = sorted(set(range(cols)).difference(pivots))
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -red[: len(pivots), free].T % p
-    return basis
+# -- canonical slice bases ------------------------------------------------------
 
 
-# -- constraint assembly ----------------------------------------------------
-
-# Per prime: signed change-of-basis matrix A with A[k, j] = (-1)^(j-k) C(j, k)
-# mod p, so that a polynomial sum(c_j u^j) has (u+1)-basis coefficients
-# b_k = sum_j A[k, j] c_j.  Grown geometrically and cached.
-_pascal_cache: dict[int, np.ndarray] = {}
+def _coords(row, mu: Multiplicity, d: int, shift: int = 0) -> list[int]:
+    """u^shift * row as a degree-d slice vector: F's coefficients, then G's."""
+    sizes = (max(0, d - mu.mu1 + 1), max(0, d - mu.mu2 + 1))
+    return [c for part, n in zip(row, sizes) for c in ([0] * shift + part + [0] * n)[:n]]
 
 
-def _signed_pascal(p: int, size: int) -> np.ndarray:
-    cached = _pascal_cache.get(p)
-    if cached is not None and cached.shape[0] >= size:
-        return cached
-    n = max(size, 2 * (cached.shape[0] if cached is not None else 64))
-    binom = np.zeros((n, n), dtype=np.int64)
-    binom[0, 0] = 1
-    for j in range(1, n):
-        binom[j, 0] = 1
-        binom[j, 1:] = (binom[j - 1, 1:] + binom[j - 1, :-1]) % p
-    jj, kk = np.meshgrid(np.arange(n), np.arange(n))
-    signed = np.where((jj - kk) % 2 == 0, binom.T, (p - binom.T) % p) % p
-    _pascal_cache[p] = signed
-    return signed
+def _last(vec: list[int]) -> int:
+    """Index of the last nonzero coordinate (-1 for the zero vector)."""
+    return max((i for i, a in enumerate(vec) if a), default=-1)
 
 
-def _constraint_matrix(mu: Multiplicity, p: int, d: int) -> np.ndarray | None:
-    """Constraint rows for the degree-d slice; None when no unknowns exist.
-
-    Columns: the d-m1+1 coefficients of ftilde (present when d >= m1), then
-    the d-m2+1 coefficients of gtilde.  Rows: the m3 shifted-basis
-    coefficients of f + g that must vanish.
-    """
-    n_f = d - mu.mu1 + 1 if d >= mu.mu1 else 0
-    n_g = d - mu.mu2 + 1 if d >= mu.mu2 else 0
-    if n_f + n_g == 0:
-        return None
-    pas = _signed_pascal(p, d + 1)
-    blocks = []
-    if n_f:
-        # ftilde coefficient i lands on x^(m1+i) y^(d-m1-i)
-        blocks.append(pas[: mu.mu3, mu.mu1 : d + 1])
-    if n_g:
-        # gtilde coefficient i lands on x^i y^(d-i)
-        blocks.append(pas[: mu.mu3, :n_g])
-    return np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+def _normalized(vec: list[int], p: int) -> list[int]:
+    inv = pow(vec[_last(vec)], p - 2, p)
+    return [a * inv % p for a in vec]
 
 
-def _vector_field(mu: Multiplicity, p: int, d: int, vec: np.ndarray) -> VectorField:
-    n_f = d - mu.mu1 + 1 if d >= mu.mu1 else 0
-    f_coeffs = [0] * (d + 1)
-    g_coeffs = [0] * (d + 1)
-    for i in range(n_f):
-        f_coeffs[mu.mu1 + i] = int(vec[i])
-    for i in range(len(vec) - n_f):
-        g_coeffs[i] = int(vec[n_f + i])
-    return VectorField(HomoPoly(p, f_coeffs), HomoPoly(p, g_coeffs))
+def _minus(v: list[int], c: int, w: list[int], p: int) -> list[int]:
+    """v - c * w."""
+    return [(a - c * b) % p for a, b in zip(v, w)] if c else v
 
 
-def _nullspace(mu: Multiplicity, p: int, d: int) -> np.ndarray:
-    """Nullspace of the degree-d constraints; no rows when there are no unknowns."""
-    m = _constraint_matrix(mu, p, d)
-    if m is None:
-        return np.zeros((0, 0), dtype=np.int64)
-    return nullspace_mod_p(m, p)
+def _echelon(vecs: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced echelon basis of the span, read from the last column,
+    in ascending order of each vector's last nonzero coordinate."""
+    pivots: dict[int, list[int]] = {}  # last coordinate -> vector, mutually reduced
+    for v in vecs:
+        for t, w in pivots.items():
+            v = _minus(v, v[t], w, p)
+        t = _last(v)
+        if t >= 0:
+            v = _normalized(v, p)
+            pivots = {s: _minus(w, w[t], v, p) for s, w in pivots.items()}
+            pivots[t] = v
+    return [pivots[t] for t in sorted(pivots)]
+
+
+def _reduced_high(basis: LatticeBasis, mu: Multiplicity, p: int) -> list[int]:
+    """The high row at degree d2, cleared at the last coordinates of the
+    low row's shifts x^i y^(d2-d1-i) * low from the top down, normalized:
+    the d2-slice's one canonical basis field that is not a multiple of low."""
+    d1, d2 = basis.degrees
+    h = _coords(basis.high, mu, d2)
+    support = [(k, a) for k, a in enumerate(_coords(basis.low, mu, d2)) if a]
+    top, lead = support[-1]
+    inv = pow(lead, p - 2, p)
+    for i in range(d2 - d1, -1, -1):
+        c = h[top + i] * inv % p
+        if c:
+            for k, a in support:
+                h[k + i] = (h[k + i] - c * a) % p
+    return _normalized(h, p)
+
+
+def _vector_field(mu: Multiplicity, p: int, d: int, vec: list[int]) -> VectorField:
+    n_f = max(0, d - mu.mu1 + 1)
+    f = [0] * mu.mu1 + vec[:n_f]
+    g = vec[n_f:] + [0] * mu.mu2
+    return VectorField(HomoPoly(p, f), HomoPoly(p, g))
 
 
 # -- public solver -----------------------------------------------------------
@@ -163,62 +192,41 @@ class DegreeSlice:
 
 def slice_dim(mu, p: int, d: int) -> int:
     """Dimension of the degree-d graded piece."""
-    mu = as_multiplicity(mu)
-    m = _constraint_matrix(mu, p, d)
-    if m is None:
-        return 0
-    return m.shape[1] - len(row_reduce_mod_p(m, p)[1])
+    d1, d2 = lattice_basis(mu, p).degrees
+    return max(0, d - d1 + 1) + max(0, d - d2 + 1)
 
 
 def degree_slice(mu, p: int, d: int) -> DegreeSlice:
-    """Nullspace basis of the degree-d graded piece, in elimination order."""
+    """Canonical basis of the degree-d graded piece, by last coordinate."""
     mu = as_multiplicity(mu)
-    return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _nullspace(mu, p, d)])
+    basis = lattice_basis(mu, p)
+    spans = [
+        _coords(row, mu, d, i)
+        for row, deg in zip(basis[:2], basis.degrees)
+        for i in range(d - deg + 1)
+    ]
+    return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _echelon(spans, p)])
 
 
 def oracle_delta(mu, p: int) -> int:
-    """Exponent gap d2 - d1 from the bisected lower degree (no basis built)."""
-    mu = as_multiplicity(mu)
-    return mu.total - 2 * _lowest_slice(mu, p)[0]
-
-
-def _lowest_slice(mu: Multiplicity, p: int) -> tuple[int, np.ndarray]:
-    """The least degree with a nonzero slice, and that slice's nullspace."""
-    # Bisection is exact: x*theta is in the module whenever theta is, so the
-    # degrees with a nonzero slice form an up-set.
-    lo, hi = 0, mu.total // 2
-    vecs = _nullspace(mu, p, hi)
-    if not len(vecs):
-        raise CertificationError(f"no nonzero slice up to |mu|/2 for {tuple(mu)}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = _nullspace(mu, p, mid)
-        if len(found):
-            hi, vecs = mid, found
-        else:
-            lo = mid + 1
-    return lo, vecs
+    """Exponent gap d2 - d1 from the reduced lattice (no basis built)."""
+    d1, d2 = lattice_basis(mu, p).degrees
+    return d2 - d1
 
 
 def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
-    """Exponents (d1, d2) and a Saito-certified basis, by brute force.
-
-    d1 is the first degree with a nonzero slice; d2 = |mu| - d1.  The low
-    generator is the first vector of the d1 nullspace the bisection kept;
-    the high generator is the first vector of the d2-slice whose determinant
-    against it is nonzero (one exists because the module is free).  When
-    d1 = d2 the kept nullspace serves both, so no slice is eliminated twice.
-    """
+    """Exponents (d1, d2) and a Saito-certified canonical basis: the
+    d1-slice's first canonical field, and the first field of the d2-slice's
+    canonical basis that is not a multiple of it."""
     mu = as_multiplicity(mu)
-    d1, low_vecs = _lowest_slice(mu, p)
-    d2 = mu.total - d1
-    low = _vector_field(mu, p, d1, low_vecs[0])
-    high = None
-    for vec in low_vecs if d2 == d1 else _nullspace(mu, p, d2):
-        cand = _vector_field(mu, p, d2, vec)
-        if not saito_det(low, cand).is_zero:
-            high = cand
-            break
-    if high is None or not saito_check(low, high, mu):
+    basis = lattice_basis(mu, p)
+    d1, d2 = basis.degrees
+    if d1 == d2:
+        low, high = _echelon([_coords(basis.low, mu, d1), _coords(basis.high, mu, d2)], p)
+    else:
+        low = _normalized(_coords(basis.low, mu, d1), p)
+        high = _reduced_high(basis, mu, p)
+    low, high = _vector_field(mu, p, d1, low), _vector_field(mu, p, d2, high)
+    if not saito_check(low, high, mu):
         raise CertificationError(f"failed to certify a basis for {tuple(mu)}")
     return d1, d2, BasisPair(low, high, certified=True)

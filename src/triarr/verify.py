@@ -1,7 +1,7 @@
 """Differential and property sweeps tying the closed form to the oracle.
 
 Every suite is exhaustive on its box and exact (no tolerances): the
-closed-form engine must agree with the brute-force solver point for point,
+closed-form engine must agree with the lattice solver point for point,
 the lattice must show the adjacency / self-similarity / periodicity /
 duality symmetries, the binomial-basis region must match its two
 characterizations, and every ball around an enumerated center must realize
@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import get_context
 
 from . import basisfactory, fastexp, oracle
 from .derivmod import (
@@ -41,6 +40,13 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def tally(self, failures: list[str]) -> "SuiteResult":
+        """Count one failure per message; the first sorted one is reported."""
+        self.failures += len(failures)
+        if failures and self.first_counterexample is None:
+            self.first_counterexample = min(failures)
+        return self
 
     def record(self, ok: bool, describe) -> None:
         self.checks += 1
@@ -71,7 +77,7 @@ def _box_points(bound) -> list[Multiplicity]:
 # -- differential -------------------------------------------------------------
 
 
-def _diff_chunk(p: int, points: list[Multiplicity]) -> list[str]:
+def _diff_failures(p: int, points: list[Multiplicity]) -> list[str]:
     bad = []
     for mu in points:
         report = fastexp.fast_exponents(mu, p)
@@ -89,7 +95,7 @@ def _diff_chunk(p: int, points: list[Multiplicity]) -> list[str]:
     return bad
 
 
-def run_differential(p: int, bound=None, workers: int = 1) -> SuiteResult:
+def run_differential(p: int, bound=None) -> SuiteResult:
     """fast_exponents == oracle_exponents on the whole box, plus parity and
     the independent zero-gap route."""
     if bound is None:
@@ -97,23 +103,7 @@ def run_differential(p: int, bound=None, workers: int = 1) -> SuiteResult:
     res = SuiteResult("differential", p)
     points = _box_points(bound)
     res.checks = len(points)
-    for bad in _fanout(_diff_chunk, p, points, workers):
-        res.failures += 1
-        if res.first_counterexample is None:
-            res.first_counterexample = bad
-    return res
-
-
-def _fanout(chunk_fn, p: int, points: list, workers: int) -> list[str]:
-    if workers <= 1 or len(points) < 64:
-        return sorted(chunk_fn(p, points))
-    chunks = [points[i::workers] for i in range(workers)]
-    with get_context("fork").Pool(workers) as pool:
-        results = pool.starmap(chunk_fn, [(p, c) for c in chunks])
-    merged: list[str] = []
-    for r in results:
-        merged.extend(r)
-    return sorted(merged)
+    return res.tally(_diff_failures(p, points))
 
 
 # -- lattice symmetries --------------------------------------------------------
@@ -257,7 +247,7 @@ def run_gamma(p: int, max_m: int = 20) -> SuiteResult:
 # -- center geometry -------------------------------------------------------------
 
 
-def _center_chunk(p: int, centers: list[Multiplicity]) -> list[str]:
+def _center_failures(p: int, centers: list[Multiplicity]) -> list[str]:
     bad = []
     for zeta in centers:
         radius = fastexp.fast_exponents(zeta, p).delta
@@ -288,7 +278,7 @@ def _center_chunk(p: int, centers: list[Multiplicity]) -> list[str]:
     return bad
 
 
-def run_centers(p: int, box=None, workers: int = 1) -> SuiteResult:
+def run_centers(p: int, box=None) -> SuiteResult:
     """Every enumerated center realizes gap = p^k - |mu - zeta| on its ball,
     its own radius is p^k, and (radius > 1) its low basis lives in F[x^p,y^p]."""
     if box is None:
@@ -308,11 +298,7 @@ def run_centers(p: int, box=None, workers: int = 1) -> SuiteResult:
             )
         k += 1
     res.checks += len(centers)
-    for bad in _fanout(_center_chunk, p, centers, workers):
-        res.failures += 1
-        if res.first_counterexample is None:
-            res.first_counterexample = bad
-    return res
+    return res.tally(_center_failures(p, centers))
 
 
 # -- basis certification sample ---------------------------------------------------
@@ -397,32 +383,26 @@ def run_golden() -> SuiteResult:
     return res
 
 
-# name -> suite run with the shared (p, box, seed, workers) settings
+# name -> suite run with the shared (p, box, seed) settings
 SUITES = {
-    "differential": lambda p, box, seed, workers: run_differential(p, box, workers=workers),
-    "adjacency": lambda p, box, seed, workers: run_adjacency(p, box),
-    "frobenius": lambda p, box, seed, workers: run_frobenius(p, box),
-    "periodicity": lambda p, box, seed, workers: run_periodicity(p, box),
-    "duality": lambda p, box, seed, workers: run_duality(p),
-    "gamma": lambda p, box, seed, workers: run_gamma(p),
-    "centers": lambda p, box, seed, workers: run_centers(p, box, workers=workers),
-    "saito": lambda p, box, seed, workers: run_saito(p, box, seed=seed),
-    "golden": lambda p, box, seed, workers: run_golden(),
+    "differential": lambda p, box, seed: run_differential(p, box),
+    "adjacency": lambda p, box, seed: run_adjacency(p, box),
+    "frobenius": lambda p, box, seed: run_frobenius(p, box),
+    "periodicity": lambda p, box, seed: run_periodicity(p, box),
+    "duality": lambda p, box, seed: run_duality(p),
+    "gamma": lambda p, box, seed: run_gamma(p),
+    "centers": lambda p, box, seed: run_centers(p, box),
+    "saito": lambda p, box, seed: run_saito(p, box, seed=seed),
+    "golden": lambda p, box, seed: run_golden(),
 }
 
 
-def run_suites(
-    names: list[str],
-    p: int,
-    box=None,
-    seed: int = DEFAULT_SEED,
-    workers: int = 1,
-) -> list[SuiteResult]:
-    """Run the named suites with shared p/box/seed/worker settings.
+def run_suites(names: list[str], p: int, box=None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
+    """Run the named suites with shared p/box/seed settings.
 
     Every name is checked before any suite runs.
     """
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")
-    return [SUITES[name](p, box, seed, workers) for name in names]
+    return [SUITES[name](p, box, seed) for name in names]

@@ -2,7 +2,7 @@ import json
 import os
 import time
 
-from triarr import atlas, cli, verify
+from triarr import atlas, cli, fastexp, verify
 
 from triarr.cli import main
 from triarr.derivmod import VectorField, saito_check
@@ -237,6 +237,23 @@ class TestCenters:
         )
         assert code == 2 and "guard" in err
         assert time.perf_counter() - start < 1.0
+
+    def test_box_beyond_candidate_guard_exits_2_at_once(self, capsys):
+        # about 2.7e10 candidate points at radius 1: refused before the loop
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "centers", "-p", "2", "-k", "0", "--box", "3000,3000,3000"
+        )
+        assert code == 2 and "guard" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_box_at_candidate_guard_is_scanned(self, capsys, monkeypatch):
+        # the guard counts (box_i // p^k + 1) per side; a box of exactly the
+        # bound passes, one more candidate is refused
+        monkeypatch.setattr(fastexp, "CENTER_CANDIDATE_GUARD", 27)
+        assert run(capsys, "centers", "-p", "2", "-k", "0", "--box", "2,2,2")[0] == 0
+        assert run(capsys, "centers", "-p", "2", "-k", "1", "--box", "5,5,5")[0] == 0
+        assert run(capsys, "centers", "-p", "2", "-k", "0", "--box", "2,2,3")[0] == 2
 
     def test_radius_at_guard_is_empty(self, capsys):
         code, out, _ = run(capsys, "centers", "-p", "2", "-k", "32", "--box", "1,1,1")

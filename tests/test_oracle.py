@@ -1,18 +1,23 @@
+import itertools
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import dense_referee as dense
 import numpy as np
+from dense_referee import nullspace_mod_p, row_reduce_mod_p
 
-from triarr import oracle
+import triarr
 from triarr.derivmod import Multiplicity, in_module, saito_check
 from triarr.fastexp import enumerate_centers, fast_exponents
 from triarr.homopoly import HomoPoly
 from triarr.oracle import (
     degree_slice,
-    nullspace_mod_p,
+    lattice_basis,
     oracle_delta,
     oracle_exponents,
-    row_reduce_mod_p,
     slice_dim,
 )
 
@@ -104,8 +109,8 @@ class TestDegreeSlice:
                 assert in_module(theta, mu)
 
     def test_free_module_dimension_profile(self):
-        # dim of degree-d slice must follow the two-generator profile
-        # exhaustively on |mu| <= 24 for p in {2, 3, 5}
+        # the dense referee's slice dimensions follow the two-generator profile
+        # of the lattice exponents, exhaustively on |mu| <= 24 for p in {2, 3, 5}
         for p in (2, 3, 5):
             for total in range(0, 25):
                 for m1 in range(total + 1):
@@ -115,7 +120,7 @@ class TestDegreeSlice:
                         d2 = total - d1
                         for d in range(total + 2):
                             expect = max(0, d - d1 + 1) + max(0, d - d2 + 1)
-                            assert slice_dim(mu, p, d) == expect, (mu, p, d)
+                            assert dense.slice_dim(mu, p, d) == expect, (mu, p, d)
 
     def test_lower_degree_is_the_first_nonzero_slice_at_large_mu(self):
         # balanced points, where the lower degree is not simply |mu| - max
@@ -129,44 +134,17 @@ class TestDegreeSlice:
                 m2 = rng.randint(0, total - m1)
                 mu = Multiplicity(m1, m2, total - m1 - m2)
             d1 = (total - oracle_delta(mu, p)) // 2
-            assert slice_dim(mu, p, d1) > 0, (mu, p)
+            assert dense.slice_dim(mu, p, d1) > 0, (mu, p)
             if d1:
-                assert slice_dim(mu, p, d1 - 1) == 0, (mu, p)
+                assert dense.slice_dim(mu, p, d1 - 1) == 0, (mu, p)
 
 
 class TestOracleExponents:
-    @staticmethod
-    def _record_built_degrees(monkeypatch):
-        built = []
-        real = oracle._constraint_matrix
-
-        def counting(mu, p, d):
-            built.append(d)
-            return real(mu, p, d)
-
-        monkeypatch.setattr(oracle, "_constraint_matrix", counting)
-        return built
-
-    def test_bisection_builds_logarithmically_many_slices(self, monkeypatch):
-        # [0, 225] holds 226 degrees: one check at the top, then at most 8 halvings
-        built = self._record_built_degrees(monkeypatch)
-        assert oracle_delta((150, 150, 150), 3) == fast_exponents((150, 150, 150), 3).delta
-        assert len(built) <= 9
-
-    def test_equal_exponents_build_their_slice_once(self, monkeypatch):
-        # d1 = d2 = 225: the bisection's 8 matrices, and the nullspace it kept
-        # at 225 serves both generators
-        built = self._record_built_degrees(monkeypatch)
-        d1, d2, basis = oracle_exponents((150, 150, 150), 3)
-        assert (d1, d2) == (225, 225) and basis.certified
-        assert len(built) == 8 and built.count(225) == 1
-
-    def test_low_generator_reuses_the_bisection_slice(self, monkeypatch):
-        # d1 = 58 < d2 = 66: only the d2-slice is built after the bisection
-        built = self._record_built_degrees(monkeypatch)
-        d1, d2, basis = oracle_exponents((41, 52, 31), 3)
-        assert (d1, d2) == (58, 66) and basis.certified
-        assert built == [62, 31, 47, 55, 59, 57, 58, 66]
+    def test_reduction_step_counts(self):
+        # Mulders-Storjohann cancellations from the two generators to weak
+        # Popov form; no bound in m3 alone holds, so the counts are pinned
+        assert lattice_basis((150, 150, 150), 3)[2:] == ((225, 225), 23)
+        assert lattice_basis((41, 52, 31), 3)[2:] == ((58, 66), 20)
 
     def test_paper_334(self):
         assert oracle_exponents((3, 3, 4), 2)[:2] == (4, 6)
@@ -218,3 +196,54 @@ class TestOracleExponents:
                     for comp in (pair.low.f, pair.low.g):
                         for i, j, _ in comp.terms():
                             assert i % p == 0 and j % p == 0
+
+
+class TestLatticeAgainstDense:
+    @staticmethod
+    def _fields(fields):
+        return [(t.to_text(), t.f.coeffs, t.g.coeffs) for t in fields]
+
+    def test_small_box_outputs_are_identical(self):
+        # pair text, gap and every slice basis, byte for byte, against the
+        # dense referee's canonical nullspace choice; slice_dim counts the basis
+        for p, side in ((2, 5), (3, 5), (5, 4), (7, 4)):
+            for mu in itertools.product(range(side + 1), repeat=3):
+                d1, d2, pair = oracle_exponents(mu, p)
+                r1, r2, ref = dense.oracle_exponents(mu, p)
+                assert (d1, d2) == (r1, r2) and oracle_delta(mu, p) == r2 - r1
+                assert self._fields([pair.low, pair.high]) == self._fields([ref.low, ref.high]), (mu, p)
+                for d in range(sum(mu) + 2):
+                    got = self._fields(degree_slice(mu, p, d).basis)
+                    assert got == self._fields(dense.degree_slice(mu, p, d)), (mu, p, d)
+                    assert slice_dim(mu, p, d) == len(got), (mu, p, d)
+
+    def test_large_mu_gap_matches_closed_form(self):
+        # seeded |mu| up to about 10^4: lattice gap == closed-form gap; a few
+        # points also build and certify the canonical basis
+        rng = random.Random(2024)
+        points = [((3000, 2600, 2800), 2)]
+        for _ in range(40):
+            p = rng.choice((2, 3, 5, 7))
+            total = rng.randint(100, 10_000)
+            if rng.random() < 0.5:  # near the center, where the balls are large
+                m1, m2 = (round(total / 3 * rng.uniform(0.9, 1.1)) for _ in range(2))
+                points.append(((m1, m2, total - m1 - m2), p))
+            else:
+                a, b = sorted(rng.randint(0, total) for _ in range(2))
+                points.append(((a, b - a, total - b), p))
+        for mu, p in points:
+            assert oracle_delta(mu, p) == fast_exponents(mu, p).delta, (mu, p)
+        for mu, p in points[:4]:
+            d1, d2, pair = oracle_exponents(mu, p)
+            assert (d1, d2) == fast_exponents(mu, p).exponents, (mu, p)
+            assert pair.certified and saito_check(pair.low, pair.high, mu)
+
+
+def test_import_loads_no_numpy():
+    # a fresh interpreter started in the directory that holds the package
+    src = Path(triarr.__file__).parent.parent
+    code = "import sys, triarr; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
