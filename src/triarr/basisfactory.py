@@ -35,8 +35,8 @@ from .derivmod import (
     as_multiplicity,
     saito_check,
 )
-from .fpcore import GuardError, binom_mod_p, g_set, least_dominated
-from .homopoly import HomoPoly
+from .fpcore import GuardError, g_set, least_dominated
+from .homopoly import HomoPoly, binomial_row
 from .oracle import oracle_exponents
 
 
@@ -80,14 +80,9 @@ def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
     """The binomial pair (psi, psi_alt) for mu, without certification."""
     mu = as_multiplicity(mu)
     m = mu.mu3
-    f = [0] * (m + 1)
-    g = [0] * (m + 1)
-    for j in range(m + 1):
-        c = binom_mod_p(m, j, p)
-        if j >= mu.mu1:
-            f[j] = c
-        else:
-            g[j] = c
+    row = binomial_row(m, p, m + 1)
+    k = min(mu.mu1, m + 1)  # terms x^j y^(m-j) with j < m1 go to dy
+    f, g = [0] * k + row[k:], row[:k] + [0] * (m + 1 - k)
     psi = VectorField(HomoPoly(p, f), HomoPoly(p, g))
     mono = HomoPoly.monomial(p, mu.mu1, mu.mu2)
     psi_alt = VectorField(-mono, mono)
@@ -263,7 +258,9 @@ def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     Shifts outside the theorem range are never planned: the shifted image
     of the monomial pair element has (x+y)-order exactly p^d, so such a hop
     cannot certify.  Every hop carries a Saito certificate and the trace
-    lists the hops in the order they were applied.  A failed hop (a bug by
+    lists the hops in the order they were applied; the last hop's
+    certificate is made at mu itself, so the returned pair is not checked
+    again.  A failed hop (a bug by
     construction) anywhere in the recursion falls back to the lattice
     solver at the original mu, with an empty trace.  A plan too long for
     the interpreter's recursion limit (only possible for p above about 200,
@@ -278,6 +275,4 @@ def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     except CertificationError:
         _, _, pair = oracle_exponents(mu, p)
         trace = []
-    if not saito_check(pair.low, pair.high, mu):
-        raise CertificationError(f"planner lost certification for {tuple(mu)}")
     return _normalized(pair), trace

@@ -17,7 +17,7 @@ no derivative, which would lose information in characteristic p.
 
 from __future__ import annotations
 
-from .fpcore import DEGREE_GUARD, GuardError, binom_mod_p
+from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError, binom_mod_p, digits
 
 
 class HomoPoly:
@@ -41,6 +41,17 @@ class HomoPoly:
             raise GuardError(f"degree {self.degree} exceeds the desk-scale guard")
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, p: int, cs: tuple) -> "HomoPoly":
+        """Wrap an already canonical coefficient tuple, skipping __init__'s
+        coercion, reduction and degree guard: () for zero, otherwise residues
+        in [0, p) with at least one nonzero entry (the top one may be 0)."""
+        h = object.__new__(cls)
+        h.p = p
+        h.degree = len(cs) - 1 if cs else None
+        h.coeffs = cs
+        return h
 
     @classmethod
     def zero(cls, p: int) -> "HomoPoly":
@@ -122,10 +133,12 @@ class HomoPoly:
                 f"cannot add degrees {self.degree} and {other.degree}"
             )
         p = self.p
-        return HomoPoly(p, [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        cs = tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)])
+        return HomoPoly._canonical(p, cs if any(cs) else ())
 
     def __neg__(self) -> "HomoPoly":
-        return HomoPoly(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return HomoPoly._canonical(p, tuple([p - c if c else 0 for c in self.coeffs]))
 
     def __sub__(self, other: "HomoPoly") -> "HomoPoly":
         return self + (-other)
@@ -151,12 +164,12 @@ class HomoPoly:
     def times_x_power(self, k: int) -> "HomoPoly":
         if self.is_zero or k == 0:
             return self
-        return HomoPoly(self.p, (0,) * k + self.coeffs)
+        return HomoPoly._canonical(self.p, (0,) * k + self.coeffs)
 
     def times_y_power(self, k: int) -> "HomoPoly":
         if self.is_zero or k == 0:
             return self
-        return HomoPoly(self.p, self.coeffs + (0,) * k)
+        return HomoPoly._canonical(self.p, self.coeffs + (0,) * k)
 
     def div_x_power(self, k: int) -> "HomoPoly":
         """Exact division by x^k; raises if not divisible."""
@@ -164,7 +177,7 @@ class HomoPoly:
             return self
         if not self.divisible_by_axis("x", k):
             raise ValueError(f"not divisible by x^{k}")
-        return HomoPoly(self.p, self.coeffs[k:])
+        return HomoPoly._canonical(self.p, self.coeffs[k:])
 
     def div_y_power(self, k: int) -> "HomoPoly":
         """Exact division by y^k; raises if not divisible."""
@@ -172,7 +185,7 @@ class HomoPoly:
             return self
         if not self.divisible_by_axis("y", k):
             raise ValueError(f"not divisible by y^{k}")
-        return HomoPoly(self.p, self.coeffs[: len(self.coeffs) - k])
+        return HomoPoly._canonical(self.p, self.coeffs[: len(self.coeffs) - k])
 
     # -- divisibility and projective comparison ------------------------
 
@@ -244,7 +257,7 @@ class HomoPoly:
         out = [0] * (q * self.degree + 1)
         for i, a in enumerate(self.coeffs):
             out[q * i] = a
-        return HomoPoly(self.p, out)
+        return HomoPoly._canonical(self.p, tuple(out))
 
     def projectively_equal(self, other: "HomoPoly") -> bool:
         """Whether self = c * other for some nonzero scalar c."""
@@ -284,10 +297,29 @@ class HomoPoly:
         return " + ".join(parts)
 
 
+def binomial_row(m: int, p: int, n: int) -> list[int]:
+    """[C(m, j) mod p for j < n], the first n <= m + 1 coefficients of (x + y)^m.
+
+    Lucas's theorem makes C(m, j) mod p the product of C(m_i, j_i) over the
+    base-p digits, so the row is the Kronecker product of one short digit row
+    per digit of m, most significant first; each partial product is cut to
+    the entries that can still land below n.  Rows longer than
+    DENSE_ROW_GUARD are refused before any list is built.
+    """
+    if m < 0:
+        raise ValueError("binomial_row requires m >= 0")
+    if n > DENSE_ROW_GUARD:
+        raise GuardError(f"a row of {n} binomial coefficients exceeds {DENSE_ROW_GUARD}")
+    ds = digits(m, p)
+    row = [1]
+    for i in reversed(range(len(ds))):
+        small = [binom_mod_p(ds[i], t, p) for t in range(ds[i] + 1)]
+        if i < len(ds) - 1:  # below the top digit, j_i runs over all of range(p)
+            small += [0] * (p - 1 - ds[i])
+        row = [a * b % p for a in row for b in small][: -(-n // p**i)]
+    return row[:n]
+
+
 def binomial_power(m: int, p: int) -> HomoPoly:
     """(x + y)^m over F_p, with coefficients given by the Lucas binomials."""
-    if m < 0:
-        raise ValueError("binomial_power requires m >= 0")
-    if m > DEGREE_GUARD:
-        raise GuardError(f"degree {m} exceeds the desk-scale guard")
-    return HomoPoly(p, [binom_mod_p(m, j, p) for j in range(m + 1)])
+    return HomoPoly._canonical(p, tuple(binomial_row(m, p, m + 1)))

@@ -24,8 +24,7 @@ from .derivmod import (
     as_multiplicity,
     saito_check,
 )
-from .fpcore import binom_mod_p
-from .homopoly import HomoPoly, binomial_power
+from .homopoly import HomoPoly, binomial_power, binomial_row
 
 # perfbench/run.py --trace 1 sums this table for its Pascal-cache metric.  The
 # lattice engine keeps no such table, so it stays empty until that metric goes.
@@ -66,7 +65,8 @@ def _generators(mu: Multiplicity, p: int) -> list[tuple[list[int], list[int]]]:
     """(1, -(u^m1 mod (u+1)^m3)) and (0, (u+1)^m3)."""
     m1, _, m3 = mu
     # with v = u + 1, -(u^m1 mod (u+1)^m3) is -(v - 1)^m1 cut below v^m3
-    neg = [binom_mod_p(m1, k, p) * (-1) ** (m1 - k + 1) % p for k in range(min(m3, m1 + 1))]
+    row = binomial_row(m1, p, min(m3, m1 + 1))
+    neg = [(c if (m1 - k) % 2 else -c) % p for k, c in enumerate(row)]
     return [([1], _trim(_taylor_shift(neg, p))), ([], list(binomial_power(m3, p).coeffs))]
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from triarr import basisfactory, oracle
 from triarr.basisfactory import (
     NotInGammaError,
     _normalized,
@@ -445,6 +446,23 @@ class TestPlanBasis:
         assert not in_module(claimed_high, (41, 52, 31))
         assert claimed_high.apply_to_sum().divisible_by_linear_power(27)
         assert not claimed_high.apply_to_sum().divisible_by_linear_power(28)
+
+    def test_each_pair_is_certified_once(self, monkeypatch):
+        # every rule's pair is already certified at mu itself, through
+        # _certified_pair or the lattice solver; plan_basis adds no check
+        calls = []
+
+        def counted(t1, t2, mu):
+            calls.append(tuple(mu))
+            return saito_check(t1, t2, mu)
+
+        monkeypatch.setattr(basisfactory, "saito_check", counted)
+        monkeypatch.setattr(oracle, "saito_check", counted)
+        for mu, p in (((41, 52, 31), 3), ((3, 3, 4), 2)):  # solver; seed only
+            calls.clear()
+            pair, trace = plan_basis(mu, p)
+            assert trace == [] and pair.certified
+            assert calls == [mu]
 
     def test_scaled_euler_family(self):
         for p in (2, 3, 5):

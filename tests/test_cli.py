@@ -2,7 +2,7 @@ import json
 import os
 import time
 
-from triarr import atlas, cli, fastexp, verify
+from triarr import atlas, cli, fastexp, homopoly, verify
 
 from triarr.cli import main
 from triarr.derivmod import VectorField, saito_check
@@ -111,6 +111,23 @@ class TestBasis:
             fields.append(VectorField(f, g))
         assert saito_check(fields[0], fields[1], tuple(obj["mu"]))
         assert obj["exp"] == [58, 66]
+
+
+    def test_row_beyond_dense_guard_exits_2_at_once(self, capsys):
+        # (x + y)^m with m + 1 > 2^22 coefficients: refused before the row
+        # is allocated (the degree guard alone would admit 2^32)
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "basis", "-p", "2", "--mu", f"0,0,{1 << 22}", "--strategy", "psi"
+        )
+        assert code == 2 and "error" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_row_at_dense_guard_is_built(self, capsys, monkeypatch):
+        monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)
+        assert run(capsys, "basis", "-p", "2", "--mu", "0,0,8", "--strategy", "psi")[0] == 0
+        assert run(capsys, "basis", "-p", "2", "--mu", "0,0,9", "--strategy", "psi")[0] == 2
+        assert run(capsys, "basis", "-p", "2", "--mu", "0,0,9", "--strategy", "oracle")[0] == 2
 
 
 class TestOracleCommand:

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from triarr.basisfactory import plan_basis
 from triarr.derivmod import (
     BasisPair,
     Multiplicity,
@@ -15,7 +17,51 @@ from triarr.derivmod import (
 )
 from triarr.fpcore import GuardError
 from triarr.homopoly import HomoPoly, binomial_power
-from triarr.oracle import degree_slice
+from triarr.oracle import degree_slice, oracle_exponents
+
+
+def full_product_check(t1, t2, mu):
+    """Saito's criterion evaluated in full: membership, then the determinant
+    f1 g2 - f2 g1 compared with x^m1 y^m2 (x+y)^m3 up to a nonzero scalar."""
+    return (
+        in_module(t1, mu)
+        and in_module(t2, mu)
+        and saito_det(t1, t2).projectively_equal(defining_poly(mu, t1.p))
+    )
+
+
+def recorded_certificates():
+    """The distinct (low, high, mu) that plan_basis and oracle_exponents
+    certify on [0,8]^3 for p = 2, 3, 5, 7 (origin excluded), in order."""
+    seen = {}
+    for p in (2, 3, 5, 7):
+        for mu in itertools.product(range(9), repeat=3):
+            if any(mu):
+                for pair in (plan_basis(mu, p)[0], oracle_exponents(mu, p)[2]):
+                    seen.setdefault((pair.low, pair.high, mu))
+    return list(seen)
+
+
+def perturbed(rng, low, high, mu):
+    """Seeded near misses and near hits around a certified pair."""
+    p = low.p
+    yield high, low, mu
+    yield low, low, mu
+    yield high, high, mu
+    # one multiplicity raised or lowered by one
+    nu = list(mu)
+    i = rng.randrange(3)
+    nu[i] += 1 if nu[i] == 0 else rng.choice((1, -1))
+    yield low, high, tuple(nu)
+    # one coefficient of the high field changed
+    f, g = (list(h.coeffs) or [0] * (high.degree + 1) for h in (high.f, high.g))
+    cs = rng.choice((f, g))
+    cs[rng.randrange(len(cs))] += rng.randrange(1, p)
+    yield low, VectorField(HomoPoly(p, f), HomoPoly(p, g)), mu
+    # the high field rescaled plus a multiple of the low one
+    mult = HomoPoly(p, [rng.randrange(p) for _ in range(high.degree - low.degree + 1)])
+    c = rng.randrange(1, p)
+    yield low, VectorField(high.f.scale(c) + low.f * mult, high.g.scale(c) + low.g * mult), mu
 
 
 def euler_field(p):
@@ -188,6 +234,43 @@ class TestSaito:
         bad = VectorField(HomoPoly.zero(p), HomoPoly.constant(p, 1))  # dy
         assert saito_det(q_dx, bad).projectively_equal(defining_poly(mu, p))
         assert not saito_check(q_dx, bad, mu)
+
+
+class TestSaitoReadOff:
+    """saito_check reads c off one coefficient; the full product is the reference."""
+
+    def test_agrees_with_full_product_on_recorded_set(self):
+        rng = random.Random(20261018)
+        cases = []
+        for low, high, mu in recorded_certificates():
+            cases.append((low, high, mu))
+            cases.extend(perturbed(rng, low, high, mu))
+        verdicts = [saito_check(*case) for case in cases]
+        for case, verdict in zip(cases, verdicts):
+            assert verdict == full_product_check(*case), case
+        true = sum(verdicts)
+        # both answers are common, so neither side of the criterion is idle
+        assert len(cases) > 30000 and 0.3 < true / len(cases) < 0.7
+
+    def test_zero_field(self):
+        zero = VectorField(HomoPoly.zero(3), HomoPoly.zero(3))
+        for mu in ((0, 0, 0), (0, 0, 1), (1, 0, 0)):
+            assert not saito_check(zero, dy(3), mu)
+            assert not saito_check(dx(3), zero, mu)
+            assert not saito_check(zero, zero, mu)
+
+    def test_nonzero_scalar_with_wrong_degree_sum(self):
+        # det = y has coefficient 1 at x^0 y^1, yet deg 0 + deg 1 != |mu| = 0
+        p = 3
+        y_dy = VectorField(HomoPoly.zero(p), HomoPoly.monomial(p, 0, 1))
+        assert not saito_check(dx(p), y_dy, (0, 0, 0))
+        assert not full_product_check(dx(p), y_dy, (0, 0, 0))
+
+    def test_equal_fields(self):
+        for p in (2, 3, 5):
+            assert not saito_check(euler_field(p), euler_field(p), (1, 1, 0))
+            low = plan_basis((3, 3, 4), p)[0].low
+            assert not saito_check(low, low, (3, 3, 4))
 
 
 class TestBasisPair:

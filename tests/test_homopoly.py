@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triarr.fpcore import binom_mod_p
-from triarr.homopoly import HomoPoly, binomial_power
+from triarr import homopoly
+from triarr.fpcore import GuardError, binom_mod_p
+from triarr.homopoly import HomoPoly, binomial_power, binomial_row
 
 PRIMES = [2, 3, 5, 7]
 
@@ -61,6 +62,39 @@ class TestAdd:
             HomoPoly(3, [1]) + HomoPoly(3, [1, 1])
 
 
+class TestCanonicalResults:
+    """Operations that skip the public constructor's reduction must still
+    return what that constructor would build from the same coefficients."""
+
+    @staticmethod
+    def assert_canonical(h):
+        rebuilt = HomoPoly(h.p, h.coeffs)
+        assert (h.coeffs, h.degree) == (rebuilt.coeffs, rebuilt.degree)
+        assert type(h.coeffs) is tuple
+
+    def test_every_trusted_path(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            p = rng.choice(PRIMES)
+            d = rng.randrange(6)
+            a, b = random_poly(rng, p, d), random_poly(rng, p, d)
+            k = rng.randrange(4)
+            outs = [a + b, a + (-a), -a, a.times_x_power(k), a.times_y_power(k),
+                    a.times_x_power(k).div_x_power(k), a.times_y_power(k).div_y_power(k),
+                    a.frobenius_scale(p), binomial_power(d, p)]
+            for h in outs:
+                self.assert_canonical(h)
+            assert (a + (-a)).coeffs == () and (a + (-a)).is_zero
+            assert (-a).times_x_power(k).div_x_power(k) == -a
+
+    def test_unreduced_top_entry_is_kept(self):
+        # homogeneous vectors are not trimmed: y^2 is (1, 0, 0)
+        y2 = HomoPoly.monomial(3, 0, 2)
+        for h in (y2 + y2, -y2, y2.times_y_power(1), y2.frobenius_scale(3)):
+            self.assert_canonical(h)
+            assert h.coeffs[-1] == 0
+
+
 class TestMul:
     def test_x_times_y(self):
         x = HomoPoly.monomial(5, 1, 0)
@@ -104,11 +138,22 @@ class TestBinomialPower:
                 assert list(h.terms()) == [(0, p**k, 1), (p**k, 0, 1)]
 
     def test_lucas_cross_check(self):
-        for p in (2, 3, 5):
-            for m in range(30):
-                h = binomial_power(m, p)
-                for j in range(m + 1):
-                    assert h.coeff(j) == binom_mod_p(m, j, p)
+        # the digit-product row against one Lucas binomial per coefficient
+        for p in (2, 3, 5, 7, 11):
+            for m in range(400):
+                row = [binom_mod_p(m, j, p) for j in range(m + 1)]
+                assert list(binomial_power(m, p).coeffs) == row, (m, p)
+                for n in {0, 1, m // p, m // 2, m, m + 1}:
+                    assert binomial_row(m, p, n) == row[:n], (m, p, n)
+
+    def test_row_guard_bounds_the_row_length(self, monkeypatch):
+        monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)
+        assert binomial_power(8, 2).degree == 8
+        assert binomial_row(100, 3, 9) == [binom_mod_p(100, j, 3) for j in range(9)]
+        with pytest.raises(GuardError):
+            binomial_power(9, 2)
+        with pytest.raises(GuardError):
+            binomial_row(100, 3, 10)
 
     def test_agrees_with_repeated_multiplication(self):
         for p in PRIMES:
