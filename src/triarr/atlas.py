@@ -67,41 +67,26 @@ def _mu_at(spec: AtlasSpec, m1: int, m2: int) -> Multiplicity | None:
     return Multiplicity(m1, m2, m3) if m3 >= 0 else None
 
 
-def _atlas_row(spec: AtlasSpec, m1: int) -> tuple[list[int | None], list[int]]:
-    row: list[int | None] = []
-    center_cols: list[int] = []
-    for m2 in range(spec.max_mu2 + 1):
-        mu = _mu_at(spec, m1, m2)
-        if mu is None:
-            row.append(None)
-            continue
-        report = fast_exponents(mu, spec.p)
-        if spec.cell == "delta":
-            row.append(report.delta)
-        elif spec.cell == "lowdegree":
-            row.append(report.exponents[0])
-        else:
-            row.append(1 if report.delta == 0 else 0)
-        if spec.mark_centers and report.center == mu:
-            center_cols.append(m2)
-    return row, center_cols
-
-
-def build_atlas(spec: AtlasSpec, workers: int = 1) -> AtlasGrid:
-    """Compute the grid; rows fan out over a fork pool when workers > 1."""
+def build_atlas(spec: AtlasSpec) -> AtlasGrid:
+    """Compute the grid in this process, one fast_exponents call per cell."""
     grid = AtlasGrid(spec)
-    rows = range(spec.max_mu1 + 1)
-    if workers > 1 and spec.max_mu1 >= 8:
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(workers) as pool:
-            computed = pool.starmap(_atlas_row, [(spec, m1) for m1 in rows])
-    else:
-        computed = [_atlas_row(spec, m1) for m1 in rows]
-    for m1, (row, center_cols) in zip(rows, computed):
+    for m1 in range(spec.max_mu1 + 1):
+        row: list[int | None] = []
+        for m2 in range(spec.max_mu2 + 1):
+            mu = _mu_at(spec, m1, m2)
+            if mu is None:
+                row.append(None)
+                continue
+            report = fast_exponents(mu, spec.p)
+            if spec.cell == "delta":
+                row.append(report.delta)
+            elif spec.cell == "lowdegree":
+                row.append(report.exponents[0])
+            else:
+                row.append(1 if report.delta == 0 else 0)
+            if spec.mark_centers and report.center == mu:
+                grid.centers.add((m1, m2))
         grid.values.append(row)
-        for m2 in center_cols:
-            grid.centers.add((m1, m2))
     return grid
 
 

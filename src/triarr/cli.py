@@ -2,10 +2,10 @@
 
 Subcommands: exp | basis | oracle | table | centers | gamma | verify;
 oracle is basis --strategy oracle.  Flags on every subcommand:
--p/--prime, --format (choices per subcommand), --out FILE, --workers N
-(default 1, clamped to the CPU count), --seed N.  Exit codes: 0 success,
-1 failed verification property, 2 usage or desk-guard error, 3 strategy
-precondition failure.
+-p/--prime, --format (choices per subcommand), --out FILE; verify also
+takes --seed N.  Everything runs in this one process.  Exit codes:
+0 success, 1 failed verification property, 2 usage or desk-guard error,
+3 strategy precondition failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import atlas, basisfactory, fastexp, oracle, verify
@@ -102,8 +101,8 @@ def _common_flags(sp: argparse.ArgumentParser, run, formats=("text", "json")) ->
     sp.add_argument("-p", "--prime", type=int, required=True)
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    # accepted and ignored: the cli-mix benchmark workload passes --workers 1
+    sp.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -153,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run verification suites")
     _common_flags(sp, _cmd_verify, formats=("text",))
     sp.add_argument("--box", default=None)
+    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     sp.add_argument(
         "--suite",
         default="golden",
@@ -206,7 +206,7 @@ def _cmd_table(args):
         cell=args.cell,
         mark_centers=args.mark_centers,
     )
-    grid = atlas.build_atlas(spec, workers=args.workers)
+    grid = atlas.build_atlas(spec)
     render = {
         "csv": atlas.render_csv,
         "json": atlas.render_json_obj,
@@ -281,7 +281,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    args.workers = max(1, min(args.workers, os.cpu_count() or 1))
     try:
         result = args.run(args)
     except NotInGammaError as exc:

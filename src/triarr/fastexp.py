@@ -9,10 +9,13 @@ contain it for each scale p^m and taking the largest qualifying scale:
   k = max({0} | {m > 0 : 2 p^m <= |mu| and mu lies in a radius-p^m ball
                   around p^m * (balanced odd) }).
 
-For k = 0 the gap is the parity of |mu|; for k > 0 write mu = p^k a + b
-with 0 <= b_i < p^k and read the gap and both exponents off one of four
-mutually exclusive cases (C/D for |a| even, E/F for |a| odd).  Unbalanced
-multiplicities short-circuit: gap = 2 max(mu) - |mu|.
+For k = 0 the gap is the parity of |mu|; for k > 0 the gap falls off
+linearly across the ball, gap = p^k - |mu - center|_1.  Either way the two
+exponents sum to |mu|, so they are (|mu| - gap) / 2 and (|mu| + gap) / 2.
+The ball is found by writing mu = p^k a + b with 0 <= b_i < p^k; which of
+four mutually exclusive cases locates it (C/D for |a| even, E/F for |a|
+odd) is kept as the tag.  Unbalanced multiplicities short-circuit:
+gap = 2 max(mu) - |mu|.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .derivmod import Multiplicity, as_multiplicity
+from .derivmod import Multiplicity, as_multiplicity, dist1
 from .fpcore import DEGREE_GUARD, GuardError
 
 log = logging.getLogger(__name__)
@@ -40,7 +43,6 @@ class BallHit(NamedTuple):
 
     center: Multiplicity
     case: str  # one of "C", "D", "E", "F"
-    axis: int | None  # distinguished index i (0-based) for cases C and E
     alpha: Multiplicity  # mu = p^k * alpha + beta, 0 <= beta_i < p^k
     beta: Multiplicity
 
@@ -130,10 +132,10 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
                 center = Multiplicity(
                     *(q * (a + (1 if t == i else 0)) for t, a in enumerate(alpha))
                 )
-                return BallHit(center, "C", i, alpha, beta)
+                return BallHit(center, "C", alpha, beta)
         if btot > 2 * q:
             center = Multiplicity(*(q * (a + 1) for a in alpha))
-            return BallHit(center, "D", None, alpha, beta)
+            return BallHit(center, "D", alpha, beta)
     else:
         ctot = 3 * q - btot  # |p^k*(1,1,1) - beta|
         for i in range(3):
@@ -141,10 +143,10 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
                 center = Multiplicity(
                     *(q * (a + (0 if t == i else 1)) for t, a in enumerate(alpha))
                 )
-                return BallHit(center, "E", i, alpha, beta)
+                return BallHit(center, "E", alpha, beta)
         if ctot > 2 * q:
             center = Multiplicity(*(q * a for a in alpha))
-            return BallHit(center, "F", None, alpha, beta)
+            return BallHit(center, "F", alpha, beta)
     return None
 
 
@@ -183,7 +185,7 @@ _CASE_TAG = {"C": "CaseC", "D": "CaseD", "E": "CaseE", "F": "CaseF"}
 
 
 def fast_exponents(mu, p: int) -> ExponentReport:
-    """Exponent gap and pair for any mu, by the closed-form case analysis."""
+    """Exponent gap and pair for any mu: the distance to the ball's center."""
     mu = as_multiplicity(mu)
     if not is_balanced(mu):
         return unbalanced_exponents(mu, p)
@@ -202,35 +204,17 @@ def fast_exponents(mu, p: int) -> ExponentReport:
         return ExponentReport(
             mu=mu, p=p, delta=0, exponents=(total // 2, total // 2), tag="K0Even"
         )
-    q = p**k
-    alpha, beta = hit.alpha, hit.beta
-    atot, btot = alpha.total, beta.total
-    if hit.case == "C":
-        i = hit.axis
-        rest = btot - beta[i]
-        delta = beta[i] - rest
-        exponents = (atot // 2 * q + rest, atot // 2 * q + beta[i])
-    elif hit.case == "D":
-        delta = btot - 2 * q
-        exponents = (atot // 2 * q + q, atot // 2 * q + btot - q)
-    elif hit.case == "E":
-        i = hit.axis
-        rest = btot - beta[i]
-        delta = rest - beta[i] - q
-        exponents = ((atot + 1) // 2 * q + beta[i], (atot - 1) // 2 * q + rest)
-    else:  # "F"
-        delta = q - btot
-        exponents = ((atot - 1) // 2 * q + btot, (atot + 1) // 2 * q)
+    delta = p**k - dist1(mu, hit.center)
     return ExponentReport(
         mu=mu,
         p=p,
         delta=delta,
-        exponents=exponents,
+        exponents=((total - delta) // 2, (total + delta) // 2),
         tag=_CASE_TAG[hit.case],
         k=k,
         center=hit.center,
-        alpha=alpha,
-        beta=beta,
+        alpha=hit.alpha,
+        beta=hit.beta,
     )
 
 

@@ -41,13 +41,6 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def tally(self, failures: list[str]) -> "SuiteResult":
-        """Count one failure per message; the first sorted one is reported."""
-        self.failures += len(failures)
-        if failures and self.first_counterexample is None:
-            self.first_counterexample = min(failures)
-        return self
-
     def record(self, ok: bool, describe) -> None:
         self.checks += 1
         if not ok:
@@ -77,33 +70,29 @@ def _box_points(bound) -> list[Multiplicity]:
 # -- differential -------------------------------------------------------------
 
 
-def _diff_failures(p: int, points: list[Multiplicity]) -> list[str]:
-    bad = []
-    for mu in points:
-        report = fastexp.fast_exponents(mu, p)
-        d1, d2, pair = oracle.oracle_exponents(mu, p)
-        if report.exponents != (d1, d2) or report.delta != d2 - d1:
-            bad.append(
-                f"mu={tuple(mu)}: fast {report.exponents} vs oracle {(d1, d2)}"
-            )
-        elif not pair.certified:
-            bad.append(f"mu={tuple(mu)}: oracle basis not certified")
-        elif fastexp.delta_zero(mu, p) != (report.delta == 0):
-            bad.append(f"mu={tuple(mu)}: delta_zero disagrees with fast path")
-        elif report.delta % 2 != mu.total % 2:
-            bad.append(f"mu={tuple(mu)}: gap parity differs from |mu| parity")
-    return bad
-
-
 def run_differential(p: int, bound=None) -> SuiteResult:
     """fast_exponents == oracle_exponents on the whole box, plus parity and
     the independent zero-gap route."""
     if bound is None:
         bound = (10, 10, 10) if p >= 5 else (12, 12, 12)
     res = SuiteResult("differential", p)
-    points = _box_points(bound)
-    res.checks = len(points)
-    return res.tally(_diff_failures(p, points))
+    for mu in _box_points(bound):
+        report = fastexp.fast_exponents(mu, p)
+        d1, d2, pair = oracle.oracle_exponents(mu, p)
+        problem = None
+        if report.exponents != (d1, d2) or report.delta != d2 - d1:
+            problem = f"fast {report.exponents} vs oracle {(d1, d2)}"
+        elif not pair.certified:
+            problem = "oracle basis not certified"
+        elif fastexp.delta_zero(mu, p) != (report.delta == 0):
+            problem = "delta_zero disagrees with fast path"
+        elif report.delta % 2 != mu.total % 2:
+            problem = "gap parity differs from |mu| parity"
+        res.record(
+            problem is None,
+            lambda mu=mu, problem=problem: f"mu={tuple(mu)}: {problem}",
+        )
+    return res
 
 
 # -- lattice symmetries --------------------------------------------------------
@@ -247,58 +236,55 @@ def run_gamma(p: int, max_m: int = 20) -> SuiteResult:
 # -- center geometry -------------------------------------------------------------
 
 
-def _center_failures(p: int, centers: list[Multiplicity]) -> list[str]:
-    bad = []
-    for zeta in centers:
-        radius = fastexp.fast_exponents(zeta, p).delta
-        # inside the ball the gap falls off linearly; on the two shells just
-        # outside it comes back up, so expect |radius - r| through r = radius+1
-        lo = [max(0, c - radius - 1) for c in zeta]
-        hi = [c + radius + 2 for c in zeta]
-        for m1 in range(lo[0], hi[0]):
-            for m2 in range(lo[1], hi[1]):
-                for m3 in range(lo[2], hi[2]):
-                    mu = Multiplicity(m1, m2, m3)
-                    r = dist1(mu, zeta)
-                    if r > radius + 1:
-                        continue
-                    if oracle.oracle_delta(mu, p) != abs(radius - r):
-                        bad.append(
-                            f"zeta={tuple(zeta)}, mu={tuple(mu)}: gap profile broken"
-                        )
-        if radius > 1:
-            _, _, pair = oracle.oracle_exponents(zeta, p)
-            supported = all(
-                i % p == 0 and j % p == 0
-                for comp in (pair.low.f, pair.low.g)
-                for i, j, _ in comp.terms()
-            )
-            if not supported:
-                bad.append(f"zeta={tuple(zeta)}: low basis not in F[x^p, y^p]")
-    return bad
+def _ball_problem(p: int, zeta: Multiplicity, radius: int) -> str | None:
+    """The first break of the gap profile around zeta in box order, else None."""
+    # inside the ball the gap falls off linearly; on the two shells just
+    # outside it comes back up, so expect |radius - r| through r = radius+1
+    lo = [max(0, c - radius - 1) for c in zeta]
+    hi = [c + radius + 2 for c in zeta]
+    for m1 in range(lo[0], hi[0]):
+        for m2 in range(lo[1], hi[1]):
+            for m3 in range(lo[2], hi[2]):
+                mu = Multiplicity(m1, m2, m3)
+                r = dist1(mu, zeta)
+                if r > radius + 1:
+                    continue
+                if oracle.oracle_delta(mu, p) != abs(radius - r):
+                    return f"zeta={tuple(zeta)}, mu={tuple(mu)}: gap profile broken"
+    if radius > 1:
+        _, _, pair = oracle.oracle_exponents(zeta, p)
+        supported = all(
+            i % p == 0 and j % p == 0
+            for comp in (pair.low.f, pair.low.g)
+            for i, j, _ in comp.terms()
+        )
+        if not supported:
+            return f"zeta={tuple(zeta)}: low basis not in F[x^p, y^p]"
+    return None
 
 
 def run_centers(p: int, box=None) -> SuiteResult:
     """Every enumerated center realizes gap = p^k - |mu - zeta| on its ball,
-    its own radius is p^k, and (radius > 1) its low basis lives in F[x^p,y^p]."""
+    its own radius is p^k, and (radius > 1) its low basis lives in F[x^p,y^p].
+
+    Two checks per center: its radius, then its ball profile and support."""
     if box is None:
         b = 4 * p * p
         box = (b, b, b)
     box = as_multiplicity(box)
     res = SuiteResult("centers", p)
-    centers: list[Multiplicity] = []
     k = 0
     while p**k <= box.total:
-        cs = fastexp.enumerate_centers(p, k, box)
-        centers.extend(cs.centers)
-        for zeta in cs.centers:
+        for zeta in fastexp.enumerate_centers(p, k, box).centers:
+            radius = fastexp.fast_exponents(zeta, p).delta
             res.record(
-                fastexp.fast_exponents(zeta, p).delta == p**k,
+                radius == p**k,
                 lambda zeta=zeta, k=k: f"zeta={tuple(zeta)} radius is not p^{k}",
             )
+            problem = _ball_problem(p, zeta, radius)
+            res.record(problem is None, problem)
         k += 1
-    res.checks += len(centers)
-    return res.tally(_center_failures(p, centers))
+    return res
 
 
 # -- basis certification sample ---------------------------------------------------

@@ -66,12 +66,6 @@ class TestGridValues:
                 expect = gamma_membership((m1, m2, 16), 3) and m1 + m2 >= 16
                 assert (grid.values[m1][m2] == 16) == expect
 
-    def test_workers_produce_identical_grids(self):
-        s = spec(cell="delta", value=9, max_mu1=14, max_mu2=11, mark_centers=True)
-        a = build_atlas(s, workers=1)
-        b = build_atlas(s, workers=3)
-        assert a.values == b.values and a.centers == b.centers
-
     def test_centers_marked(self):
         grid = build_atlas(spec(mode="m3", value=1, max_mu1=3, max_mu2=3,
                                 mark_centers=True))

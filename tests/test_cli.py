@@ -1,6 +1,8 @@
 import json
-import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from triarr import atlas, cli, fastexp, homopoly, verify
 
@@ -189,7 +191,7 @@ class TestTable:
         assert code == 2
 
     def test_bad_format_exits_2_before_building(self, capsys, monkeypatch):
-        def no_build(spec, workers=1):
+        def no_build(spec):
             raise AssertionError("atlas built for a bad --format")
 
         monkeypatch.setattr(atlas, "build_atlas", no_build)
@@ -201,29 +203,35 @@ class TestTable:
 
 
 class TestWorkers:
-    def resolved(self, capsys, monkeypatch, *flags):
-        seen = []
-        real = atlas.build_atlas
+    # --workers is parsed for compatibility and changes nothing
+    def test_output_is_identical_with_and_without(self, capsys):
+        for argv in (
+            ("table", "-p", "3", "--mode", "m3", "--m", "9", "--range", "14,11",
+             "--mark-centers"),
+            ("table", "-p", "2", "--mode", "sum", "--total", "20", "--range", "20,20",
+             "--format", "csv"),
+            ("exp", "-p", "3", "--mu", "41,52,31", "--format", "json"),
+        ):
+            plain = run(capsys, *argv)
+            assert plain[0] == 0
+            for n in ("1", "2", "4"):
+                assert run(capsys, *argv, "--workers", n) == plain
 
-        def record(spec, workers=1):
-            seen.append(workers)
-            return real(spec, workers=1)
-
-        monkeypatch.setattr(atlas, "build_atlas", record)
-        code, _, _ = run(
-            capsys, "table", "-p", "2", "--mode", "m3", "--m", "1", "--range", "2,2",
-            *flags,
+    def test_no_process_pool(self):
+        # a fresh interpreter: a worker pool would import multiprocessing
+        src = Path(cli.__file__).parent.parent
+        code = (
+            "import os, sys\n"
+            "from triarr import cli\n"
+            "argv = ['table', '-p', '2', '--mode', 'sum', '--total', '40',\n"
+            "        '--range', '20,20', '--workers', '4', '--out', os.devnull]\n"
+            "print(cli.main(argv), 'multiprocessing' in sys.modules)"
         )
-        assert code == 0
-        return seen
-
-    def test_default_is_one(self, capsys, monkeypatch):
-        assert self.resolved(capsys, monkeypatch) == [1]
-
-    def test_clamped_to_cpu_count(self, capsys, monkeypatch):
-        cpus = os.cpu_count() or 1
-        assert self.resolved(capsys, monkeypatch, "--workers", "100000") == [cpus]
-        assert self.resolved(capsys, monkeypatch, "--workers", "0") == [1]
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout == "0 False\n"
 
 
 class TestCenters:
@@ -327,6 +335,11 @@ class TestVerify:
         )
         assert code == 0
         assert "adjacency (p=2): PASS" in out and "saito (p=2): PASS" in out
+
+    def test_seed_belongs_to_verify(self, capsys):
+        assert run(capsys, "verify", "-p", "2", "--suite", "golden", "--seed", "3")[0] == 0
+        code, out, err = run(capsys, "exp", "-p", "3", "--mu", "1,1,1", "--seed", "3")
+        assert code == 2 and out == "" and "--seed" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "-p", "2", "--suite", "nonsense")

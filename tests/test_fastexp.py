@@ -71,7 +71,7 @@ class TestBallCenter:
     def test_paper_eg31_case_e(self):
         hit = ball_center((41, 52, 31), 3, 3)
         assert hit is not None
-        assert hit.center == (54, 54, 27) and hit.case == "E" and hit.axis == 2
+        assert hit.center == (54, 54, 27) and hit.case == "E"
 
     def test_334_p5_outside_all_balls(self):
         assert ball_center((3, 3, 4), 5, 1) is None
