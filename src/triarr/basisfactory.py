@@ -25,7 +25,7 @@ back up, certifying every hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derivmod import (
     BasisPair,
@@ -44,8 +44,7 @@ class NotInGammaError(ValueError):
     """The binomial pair is not a basis for this multiplicity."""
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(NamedTuple):
     """One basis-transport step, in the order the planner applies it."""
 
     kind: str  # FrobeniusLift | PeriodShift | Dual
@@ -55,14 +54,14 @@ class TransformStep:
         return f"{self.kind}({self.param})"
 
 
-@dataclass(frozen=True)
-class GammaSlice:
-    """The binomial-basis region at fixed third coordinate m."""
+class GammaSlice(NamedTuple):
+    """The binomial-basis region at fixed third coordinate m, and G_m."""
 
     m: int
     p: int
     maximal_elements: list[Multiplicity]
     minimal_complement: list[Multiplicity]
+    g_set: list[int]
 
 
 def gamma_membership(mu, p: int) -> bool:
@@ -130,23 +129,33 @@ def b_set(m: int, p: int) -> list[Multiplicity]:
     """
     if m < 1:
         raise ValueError("b_set requires m >= 1")
-    gs = g_set(m, p)
-    t = len(gs) - 1
-    return [Multiplicity(gs[i] + 1, gs[t - i] + 1, m) for i in range(t + 1)]
+    return gamma_slice(m, p).minimal_complement
 
 
 def s_set(m: int, p: int) -> list[Multiplicity]:
     """Maximal elements of the binomial-basis region at level m."""
     if m < 1:
         raise ValueError("s_set requires m >= 1")
-    gs = g_set(m, p)
-    t = len(gs) - 1
-    return [Multiplicity(gs[i], gs[t - i + 1], m) for i in range(1, t + 1)]
+    return gamma_slice(m, p).maximal_elements
 
 
 def gamma_slice(m: int, p: int) -> GammaSlice:
-    return GammaSlice(m=m, p=p, maximal_elements=s_set(m, p),
-                      minimal_complement=b_set(m, p))
+    """S_m and B_m, both read off one G_m.
+
+    With G_m = g_0 < ... < g_t (so g_i + g_(t-i) = m), the maximal elements
+    are (g_i, g_(t-i+1), m) for 1 <= i <= t and the minimal complement is
+    (g_i + 1, g_(t-i) + 1, m) for 0 <= i <= t.
+    """
+    if m < 1:
+        raise ValueError("gamma_slice requires m >= 1")
+    gs = g_set(m, p)
+    t = len(gs) - 1
+    return GammaSlice(
+        m, p,
+        [Multiplicity(gs[i], gs[t - i + 1], m) for i in range(1, t + 1)],
+        [Multiplicity(gs[i] + 1, gs[t - i] + 1, m) for i in range(t + 1)],
+        gs,
+    )
 
 
 # -- certified transports ----------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 from . import atlas, basisfactory, fastexp, oracle, verify
 from .basisfactory import NotInGammaError
 from .derivmod import BasisPair, Multiplicity, as_multiplicity
-from .fpcore import GuardError, Prime, g_set
+from .fpcore import GuardError, Prime
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -246,9 +246,9 @@ def _cmd_gamma(args):
         obj = {
             "p": int(p),
             "m": args.m,
-            "g_set": g_set(args.m, p),
-            "s_set": [list(s) for s in gs.maximal_elements],
-            "b_set": [list(b) for b in gs.minimal_complement],
+            "g_set": gs.g_set,
+            "s_set": gs.maximal_elements,  # triples encode as JSON arrays
+            "b_set": gs.minimal_complement,
         }
         if mu is not None:
             obj["mu"] = list(mu)
@@ -256,7 +256,7 @@ def _cmd_gamma(args):
         return obj
     lines = [
         f"m: {args.m}",
-        f"g_set: {g_set(args.m, p)}",
+        f"g_set: {gs.g_set}",
         f"s_set: {[tuple(s) for s in gs.maximal_elements]}",
         f"b_set: {[tuple(b) for b in gs.minimal_complement]}",
     ]
@@ -292,13 +292,21 @@ def main(argv=None) -> int:
     code = EXIT_OK
     if isinstance(result, tuple):
         result, code = result
-    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, result)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, result)
     return code
+
+
+def _write(fh, result) -> None:
+    """A string as is; anything else as indented JSON, streamed chunk by chunk."""
+    if isinstance(result, str):
+        fh.write(result)
+    else:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
 
 
 def console_main() -> None:

@@ -21,7 +21,6 @@ f1[m1] g2[0] - f2[m1] g1[0]: the criterion costs two memberships and O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fpcore import DEGREE_GUARD, GuardError
@@ -142,18 +141,23 @@ class VectorField:
         return f"VectorField({self.to_text()})"
 
 
-@dataclass(frozen=True)
-class BasisPair:
-    """Ordered homogeneous basis (low, high) with deg low <= deg high."""
-
+class _PairFields(NamedTuple):
     low: VectorField
     high: VectorField
     certified: bool = False
 
-    def __post_init__(self):
+
+class BasisPair(_PairFields):
+    """Ordered homogeneous basis (low, high) with deg low <= deg high."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         dl, dh = self.low.degree, self.high.degree
         if dl is not None and dh is not None and dl > dh:
             raise ValueError("basis pair must be ordered by degree")
+        return self
 
     @property
     def exponents(self) -> tuple[int, int]:

@@ -20,14 +20,10 @@ gap = 2 max(mu) - |mu|.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .derivmod import Multiplicity, as_multiplicity, dist1
 from .fpcore import DEGREE_GUARD, GuardError
-
-log = logging.getLogger(__name__)
 
 # Open-question instrumentation: counts scales where a lattice ball exists
 # but its center is unbalanced (and the scale was therefore rejected).
@@ -47,8 +43,7 @@ class BallHit(NamedTuple):
     beta: Multiplicity
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(NamedTuple):
     """Exponent gap, exponent pair and component geometry for one mu."""
 
     mu: Multiplicity
@@ -66,8 +61,7 @@ class ExponentReport:
         return self.p**self.k if self.center is not None else None
 
 
-@dataclass(frozen=True)
-class CenterSet:
+class CenterSet(NamedTuple):
     """All component centers of radius p^k inside a bounding box."""
 
     p: int
@@ -162,12 +156,6 @@ def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
                 k, best = m, hit
             else:
                 filter_stats["unbalanced_center_rejections"] += 1
-                log.debug(
-                    "scale %d rejected for %s: center %s is unbalanced",
-                    m,
-                    tuple(mu),
-                    tuple(hit.center),
-                )
         m += 1
     return k, best
 

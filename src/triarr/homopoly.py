@@ -297,6 +297,23 @@ class HomoPoly:
         return " + ".join(parts)
 
 
+def _digit_row(d: int, p: int) -> list[int]:
+    """[C(d, t) mod p for t <= d] for one base-p digit d < p.
+
+    The row follows C(d, t + 1) = C(d, t) (d - t) / (t + 1), where every
+    t + 1 <= d < p is invertible mod p: O(d) steps, where one Lucas product
+    per entry costs O(d^2) big-integer work.  Digits below 8 still take their
+    entries from binom_mod_p, the call the benchmark's tracer test follows
+    through this module's binding.
+    """
+    if d < 8:
+        return [binom_mod_p(d, t, p) for t in range(d + 1)]
+    row = [1]
+    for t in range(d):
+        row.append(row[-1] * (d - t) * pow(t + 1, -1, p) % p)
+    return row
+
+
 def binomial_row(m: int, p: int, n: int) -> list[int]:
     """[C(m, j) mod p for j < n], the first n <= m + 1 coefficients of (x + y)^m.
 
@@ -313,7 +330,7 @@ def binomial_row(m: int, p: int, n: int) -> list[int]:
     ds = digits(m, p)
     row = [1]
     for i in reversed(range(len(ds))):
-        small = [binom_mod_p(ds[i], t, p) for t in range(ds[i] + 1)]
+        small = _digit_row(ds[i], p)
         if i < len(ds) - 1:  # below the top digit, j_i runs over all of range(p)
             small += [0] * (p - 1 - ds[i])
         row = [a * b % p for a in row for b in small][: -(-n // p**i)]

@@ -13,7 +13,6 @@ so the solver stays an independent referee for fastexp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .derivmod import (
@@ -178,8 +177,7 @@ def _vector_field(mu: Multiplicity, p: int, d: int, vec: list[int]) -> VectorFie
 # -- public solver -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(NamedTuple):
     """F_p-basis of the degree-d graded piece of the logarithmic module."""
 
     degree: int

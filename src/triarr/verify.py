@@ -13,7 +13,6 @@ Saito certificate (a failure is counted, never silently dropped).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from . import basisfactory, fastexp, oracle
@@ -29,13 +28,22 @@ from .fpcore import binom_mod_p
 DEFAULT_SEED = 20250810
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    p: int | None  # None for suites whose checks fix their own primes
-    checks: int = 0
-    failures: int = 0
-    first_counterexample: str | None = None
+    """Checks and failures of one suite; p is None for suites whose checks fix
+    their own primes."""
+
+    __slots__ = ("name", "p", "checks", "failures", "first_counterexample")
+
+    def __init__(self, name: str, p: int | None, checks: int = 0, failures: int = 0,
+                 first_counterexample: str | None = None):
+        self.name, self.p = name, p
+        self.checks, self.failures = checks, failures
+        self.first_counterexample = first_counterexample
+
+    def __eq__(self, other):
+        if not isinstance(other, SuiteResult):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def passed(self) -> bool:

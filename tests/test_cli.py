@@ -4,7 +4,7 @@ import sys
 import time
 from pathlib import Path
 
-from triarr import atlas, cli, fastexp, homopoly, verify
+from triarr import atlas, basisfactory, cli, fastexp, fpcore, homopoly, verify
 
 from triarr.cli import main
 from triarr.derivmod import VectorField, saito_check
@@ -186,6 +186,19 @@ class TestTable:
         )
         assert code == 2 and "error" in err
 
+    def test_slice_beyond_degree_guard_exits_2(self, capsys):
+        # |mu| reaches 2^32 + 1 only at the far corner of the first slice
+        for flags in (
+            ("--mode", "m3", "--m", str(2**32 - 1), "--range", "1,1"),
+            ("--mode", "m3", "--m", str(2**32 + 1), "--range", "2,2"),
+            ("--mode", "sum", "--total", str(2**32 + 1), "--range", "2,2"),
+        ):
+            code, out, err = run(capsys, "table", "-p", "2", *flags)
+            assert code == 2 and out == "" and "desk-scale guard" in err
+        code, _, _ = run(capsys, "table", "-p", "2", "--mode", "m3", "--m", str(2**32 - 2),
+                         "--range", "1,1")
+        assert code == 0
+
     def test_missing_mode_value_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "-p", "2", "--mode", "sum", "--range", "4,4")
         assert code == 2
@@ -307,6 +320,23 @@ class TestGamma:
             code, out, _ = run(capsys, "gamma", "-p", "2", "-m", m, "--mu", mu)
             assert code == 0 and out.endswith("): true\n")
             assert time.perf_counter() - start < 1.0
+
+    def test_one_g_set_per_command(self, capsys, monkeypatch):
+        calls = []
+        real = fpcore.g_set
+
+        def counting(m, p):
+            calls.append(m)
+            return real(m, p)
+
+        for ns in (fpcore, basisfactory, cli):
+            if hasattr(ns, "g_set"):
+                monkeypatch.setattr(ns, "g_set", counting)
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert run(capsys, "gamma", "-p", "3", "-m", "16", "--mu", "3,3,16",
+                       "--format", fmt)[0] == 0
+            assert calls == [16]
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,18 @@ class TestBinomialPower:
                 assert list(binomial_power(m, p).coeffs) == row, (m, p)
                 for n in {0, 1, m // p, m // 2, m, m + 1}:
                     assert binomial_row(m, p, n) == row[:n], (m, p, n)
+
+    def test_digit_rows_at_large_primes(self):
+        # one digit row per digit of m, built by the multiplicative recurrence
+        for p in (1009, 2003):
+            for m in (p - 1, (p - 1) // 2, 3 * p - 1):
+                row = binomial_row(m, p, m + 1)
+                assert len(row) == m + 1
+                for j in list(range(0, m + 1, m // 50 + 1)) + [m - 1, m]:
+                    assert row[j] == binom_mod_p(m, j, p), (m, p, j)
+        start = time.perf_counter()
+        binomial_power(2002, 2003)
+        assert time.perf_counter() - start < 1.0  # was 2.4 s with Lucas entries
 
     def test_row_guard_bounds_the_row_length(self, monkeypatch):
         monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)

@@ -247,3 +247,17 @@ def test_import_loads_no_numpy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # logging and dataclasses (with inspect, ast and dis) cost memory and
+    # import time in every process that runs the CLI
+    src = Path(triarr.__file__).parent.parent
+    code = (
+        "import sys, triarr.cli\n"
+        "print([m for m in ('numpy', 'logging', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

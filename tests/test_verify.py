@@ -1,7 +1,5 @@
 """Failure reporting of the verify suites, with one engine made wrong on purpose."""
 
-import dataclasses
-
 from triarr import oracle, verify
 from triarr.cli import main
 
@@ -42,7 +40,7 @@ class TestDifferentialFailures:
         def also_uncertified(mu, p):
             d1, d2, pair = real(mu, p)
             if tuple(mu) == (0, 3, 3):
-                pair = dataclasses.replace(pair, certified=False)
+                pair = pair._replace(certified=False)
             return d1, d2, pair
 
         monkeypatch.setattr(oracle, "oracle_exponents", also_uncertified)
