@@ -6,7 +6,7 @@ neighbor, is the strongest evidence either is right.
 """
 
 from triarr import Multiplicity, fast_exponents, oracle_exponents, slice_dim
-from triarr.verify import run_adjacency, run_differential
+from triarr.verify import run_suite
 
 print("graded dimensions at mu = (3, 3, 4), p = 5 (generators at 5 and 5):")
 for d in range(9):
@@ -16,12 +16,12 @@ print()
 bound = 7
 print(f"differential sweep, all mu with mu_i <= {bound}:")
 for p in (2, 3, 5):
-    r = run_differential(p, (bound, bound, bound))
+    r = run_suite("differential", p, (bound, bound, bound))
     print(f"  {r.line()}")
 
 print()
 print("adjacent lattice points always have gap difference exactly 1:")
-r = run_adjacency(2, (5, 5, 5))
+r = run_suite("adjacency", 2, (5, 5, 5))
 print(f"  {r.line()}")
 
 print()

@@ -33,6 +33,7 @@ from .derivmod import (
     Multiplicity,
     VectorField,
     as_multiplicity,
+    basis_guard,
     saito_check,
 )
 from .fpcore import GuardError, g_set, least_dominated
@@ -77,7 +78,7 @@ def gamma_membership(mu, p: int) -> bool:
 
 def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
     """The binomial pair (psi, psi_alt) for mu, without certification."""
-    mu = as_multiplicity(mu)
+    mu = basis_guard(as_multiplicity(mu))
     m = mu.mu3
     row = binomial_row(m, p, m + 1)
     k = min(mu.mu1, m + 1)  # terms x^j y^(m-j) with j < m1 go to dy
@@ -167,7 +168,7 @@ def frobenius_lift(pair: BasisPair, mu, q: int) -> tuple[BasisPair, Multiplicity
     p = pair.low.p
     if q < p:  # frobenius_scale rejects every q that is not a power of p
         raise ValueError(f"q must be a positive power of {p} with q >= {p}")
-    target = mu.scaled(q)
+    target = basis_guard(mu.scaled(q))
     return _certified_pair(pair.low.frobenius(q), pair.high.frobenius(q), target), target
 
 
@@ -187,7 +188,7 @@ def period_shift(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
     if d < 1:
         raise ValueError("period_shift requires d >= 1")
     e = pair.low.p**d
-    target = Multiplicity(mu.mu1 + e, mu.mu2 + e, mu.mu3)
+    target = basis_guard(Multiplicity(mu.mu1 + e, mu.mu2 + e, mu.mu3))
     fields = (_shift_field(pair.low, e), _shift_field(pair.high, e))
     return _certified_pair(*fields, target), target
 
@@ -210,7 +211,7 @@ def dual_basis(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
     mu = as_multiplicity(mu)
     if d < 1:
         raise ValueError("dual_basis requires d >= 1")
-    target = dual_multiplicity(mu, pair.low.p, d)
+    target = basis_guard(dual_multiplicity(mu, pair.low.p, d))
     e = pair.low.p**d
     fields = (_dual_field(pair.low, mu, e), _dual_field(pair.high, mu, e))
     return _certified_pair(*fields, target), target

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fpcore import DEGREE_GUARD, GuardError
+from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError
 from .homopoly import HomoPoly, binomial_power
 
 
@@ -64,6 +64,18 @@ def as_multiplicity(value) -> Multiplicity:
         raise ValueError(f"multiplicities must be nonnegative, got {tuple(mu)}")
     if mu.total > DEGREE_GUARD:
         raise GuardError(f"|mu| = {mu.total} exceeds the desk-scale guard")
+    return mu
+
+
+def basis_guard(mu: Multiplicity) -> Multiplicity:
+    """mu, when a basis for it fits the dense-row guard.
+
+    A basis of mu has degrees at most |mu|, so each component is a list of
+    at most |mu| + 1 coefficients; larger bases are refused before any list
+    is built.
+    """
+    if mu.total + 1 > DENSE_ROW_GUARD:
+        raise GuardError(f"a basis for |mu| = {mu.total} exceeds the dense-row guard")
     return mu
 
 

@@ -21,6 +21,7 @@ from .derivmod import (
     Multiplicity,
     VectorField,
     as_multiplicity,
+    basis_guard,
     saito_check,
 )
 from .homopoly import HomoPoly, binomial_power, binomial_row
@@ -196,7 +197,7 @@ def slice_dim(mu, p: int, d: int) -> int:
 
 def degree_slice(mu, p: int, d: int) -> DegreeSlice:
     """Canonical basis of the degree-d graded piece, by last coordinate."""
-    mu = as_multiplicity(mu)
+    mu = basis_guard(as_multiplicity(mu))
     basis = lattice_basis(mu, p)
     spans = [
         _coords(row, mu, d, i)
@@ -216,7 +217,7 @@ def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
     """Exponents (d1, d2) and a Saito-certified canonical basis: the
     d1-slice's first canonical field, and the first field of the d2-slice's
     canonical basis that is not a multiple of it."""
-    mu = as_multiplicity(mu)
+    mu = basis_guard(as_multiplicity(mu))
     basis = lattice_basis(mu, p)
     d1, d2 = basis.degrees
     if d1 == d2:

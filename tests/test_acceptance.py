@@ -108,7 +108,7 @@ class TestCriterion2Differential:
         start = time.perf_counter()
         before = filter_stats["unbalanced_center_rejections"]
         for p, bound, points in ((2, 12, 2197), (3, 12, 2197), (5, 10, 1331)):
-            r = verify.run_differential(p, (bound, bound, bound))
+            r = verify.run_suite("differential", p, (bound, bound, bound))
             assert r.passed and r.checks == points, r.line()
         elapsed = time.perf_counter() - start
         assert elapsed < 600, "differential sweep exceeded the runtime budget"
@@ -122,36 +122,36 @@ class TestCriterion2Differential:
 class TestCriterion3Properties:
     def test_3_adjacency(self):
         for p in (2, 3):
-            r = verify.run_adjacency(p, (8, 8, 8))
+            r = verify.run_suite("adjacency", p, (8, 8, 8))
             assert r.passed, r.line()
         report("3 adjacency |gap difference| = 1 (mu_i <= 8, p=2,3): PASS")
 
     def test_3_frobenius(self):
         for p in (2, 3, 5):
-            r = verify.run_frobenius(p, (6, 6, 6))
+            r = verify.run_suite("frobenius", p, (6, 6, 6))
             assert r.passed, r.line()
         report("3 frobenius gap(p*mu) = p*gap(mu) + lifts certify (mu_i <= 6): PASS")
 
     def test_3_periodicity(self):
-        r = verify.run_periodicity(2, (8, 8, 8), ds=(1, 2, 3))
+        r = verify.run_suite("periodicity", 2, (8, 8, 8))  # d = 1, 2, 3
         assert r.passed, r.line()
         report("3 periodicity gap(mu + (2^d,2^d,0)) = gap(mu), d=1,2,3: PASS")
 
     def test_3_duality(self):
         for p in (2, 3):
-            r = verify.run_duality(p, ds=(1, 2))
+            r = verify.run_suite("duality", p)  # d = 1, 2
             assert r.passed, r.line()
         report("3 duality gap(mu-dual) = gap(mu) on cubes, p=2,3, d=1,2: PASS")
 
     def test_3_gamma_characterizations(self):
         for p in (2, 3):
-            r = verify.run_gamma(p, 20)
+            r = verify.run_suite("gamma", p)  # m <= 20
             assert r.passed, r.line()
         report("3 binomial-basis region characterizations, m <= 20, p=2,3: PASS")
 
     def test_3_center_geometry(self):
         for p in (2, 3):
-            r = verify.run_centers(p)  # box (4p^2, 4p^2, 4p^2)
+            r = verify.run_suite("centers", p)  # box (4p^2, 4p^2, 4p^2)
             assert r.passed, r.line()
         report("3 center geometry: gap profile on every ball + low-basis "
                "divisibility: PASS")

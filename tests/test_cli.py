@@ -116,14 +116,23 @@ class TestBasis:
 
 
     def test_row_beyond_dense_guard_exits_2_at_once(self, capsys):
-        # (x + y)^m with m + 1 > 2^22 coefficients: refused before the row
-        # is allocated (the degree guard alone would admit 2^32)
-        start = time.perf_counter()
-        code, _, err = run(
-            capsys, "basis", "-p", "2", "--mu", f"0,0,{1 << 22}", "--strategy", "psi"
-        )
-        assert code == 2 and "error" in err
-        assert time.perf_counter() - start < 1.0
+        # refused before any list is built: the degree guard alone would
+        # admit |mu| up to 2^32
+        for argv in (
+            # (x + y)^m with m + 1 > 2^22 coefficients
+            ("basis", "--mu", f"0,0,{1 << 22}", "--strategy", "psi"),
+            # a basis of degree up to |mu| = 2^22 + 1: the monomial x^m1 of
+            # psi_alt, and the oracle's high row
+            ("basis", "--mu", f"{1 << 22},0,1", "--strategy", "psi"),
+            ("basis", "--mu", f"{1 << 22},0,1", "--strategy", "plan"),
+            ("oracle", "--mu", f"{1 << 22},0,1"),
+            # the planner's period shift from (0, 0, 1) to its image
+            ("basis", "--mu", f"{1 << 21},{1 << 21},1", "--strategy", "plan"),
+        ):
+            start = time.perf_counter()
+            code, _, err = run(capsys, argv[0], "-p", "2", *argv[1:])
+            assert code == 2 and "error" in err, argv
+            assert time.perf_counter() - start < 1.0, argv
 
     def test_row_at_dense_guard_is_built(self, capsys, monkeypatch):
         monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)
@@ -376,10 +385,10 @@ class TestVerify:
         assert code == 2
 
     def test_unknown_suite_rejected_before_any_suite_runs(self, capsys, monkeypatch):
-        def no_golden():
+        def no_golden(p, box, seed):
             raise AssertionError("golden ran before the unknown name was rejected")
 
-        monkeypatch.setattr(verify, "run_golden", no_golden)
+        monkeypatch.setitem(verify.SUITES, "golden", no_golden)
         code, out, err = run(capsys, "verify", "-p", "2", "--suite", "golden,nonsense")
         assert code == 2 and out == "" and "nonsense" in err
 

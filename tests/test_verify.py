@@ -1,6 +1,9 @@
-"""Failure reporting of the verify suites, with one engine made wrong on purpose."""
+"""Check counts of the verify suites, and their failure reporting with one
+engine or transport made wrong on purpose."""
 
-from triarr import oracle, verify
+import pytest
+
+from triarr import basisfactory, oracle, verify
 from triarr.cli import main
 
 
@@ -23,10 +26,67 @@ def wrong_delta_at(monkeypatch, targets):
     monkeypatch.setattr(oracle, "oracle_delta", patched)
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (("differential", 2, (4, 5, 3)), "differential (p=2): PASS (120 checks)"),
+        (("adjacency", 2, (4, 5, 3)), "adjacency (p=2): PASS (286 checks)"),
+        (("frobenius", 2), "frobenius (p=2): PASS (343 checks)"),
+        (("frobenius", 3, (4, 5, 3)), "frobenius (p=3): PASS (120 checks)"),
+        (("periodicity", 2), "periodicity (p=2): PASS (1377 checks)"),
+        (("periodicity", 2, (4, 5, 3)), "periodicity (p=2): PASS (330 checks)"),
+        (("periodicity", 3, (4, 5, 3)), "periodicity (p=3): PASS (360 checks)"),
+        (("duality", 2), "duality (p=2): PASS (152 checks)"),
+        (("duality", 3, (4, 5, 3)), "duality (p=3): PASS (1064 checks)"),  # box unread
+        (("gamma", 2), "gamma (p=2): PASS (7549 checks)"),
+        (("centers", 3, (4, 5, 3)), "centers (p=3): PASS (14 checks)"),
+        (("saito", 2), "saito (p=2): PASS (203 checks)"),
+        (("saito", 2, (4, 5, 3), 7), "saito (p=2): PASS (207 checks)"),
+        (("golden", 5), "golden: PASS (12 checks)"),
+    ],
+)
+def test_passing_line(args, line):
+    # a changed count means the suite checks a different set of points
+    assert verify.run_suite(*args).line() == line
+
+
+class TestTransportFailures:
+    # one hop's image comes back uncertified: that hop alone fails, and
+    # the text names mu and the hop parameter
+    @pytest.mark.parametrize(
+        "name, p, move, hop, line",
+        [
+            (
+                "periodicity", 2, "period_shift", ((1, 0, 2), 2),
+                "periodicity (p=2): FAIL (81 checks, 1 failures, first: mu=(1, 0, 2), d=2)",
+            ),
+            (
+                "frobenius", 3, "frobenius_lift", ((2, 0, 1), 3),
+                "frobenius (p=3): FAIL (27 checks, 1 failures, first: mu=(2, 0, 1), q=3)",
+            ),
+            (
+                "duality", 2, "dual_basis", ((3, 1, 0), 2),
+                "duality (p=2): FAIL (152 checks, 1 failures, first: mu=(3, 1, 0), d=2)",
+            ),
+        ],
+    )
+    def test_one_uncertified_hop_is_one_failure(self, monkeypatch, name, p, move, hop, line):
+        real = getattr(basisfactory, move)
+
+        def patched(pair, mu, param):
+            moved, image = real(pair, mu, param)
+            if (tuple(mu), param) == hop:
+                moved = moved._replace(certified=False)
+            return moved, image
+
+        monkeypatch.setattr(basisfactory, move, patched)
+        assert verify.run_suite(name, p, (2, 2, 2)).line() == line
+
+
 class TestDifferentialFailures:
     def test_one_wrong_point_is_one_failure(self, monkeypatch):
         wrong_exponents_at(monkeypatch, (2, 1, 3))
-        r = verify.run_differential(2, (3, 3, 3))
+        r = verify.run_suite("differential", 2, (3, 3, 3))
         assert (r.checks, r.failures) == (64, 1)
         assert r.line() == (
             "differential (p=2): FAIL (64 checks, 1 failures, "
@@ -44,7 +104,7 @@ class TestDifferentialFailures:
             return d1, d2, pair
 
         monkeypatch.setattr(oracle, "oracle_exponents", also_uncertified)
-        r = verify.run_differential(2, (3, 3, 3))
+        r = verify.run_suite("differential", 2, (3, 3, 3))
         assert r.failures == 2
         assert r.first_counterexample == "mu=(0, 3, 3): oracle basis not certified"
 
@@ -61,12 +121,12 @@ class TestCenterFailures:
     # p = 2, box (3,3,3): four centers of radius 1 and (2,2,2) of radius 2;
     # (2,2,2) and (2,2,4) lie in the checked shells of that one ball only
     def test_passes_unpatched(self):
-        r = verify.run_centers(2, (3, 3, 3))
+        r = verify.run_suite("centers", 2, (3, 3, 3))
         assert r.line() == "centers (p=2): PASS (10 checks)"
 
     def test_one_failure_per_center(self, monkeypatch):
         wrong_delta_at(monkeypatch, {(2, 2, 2), (2, 2, 4)})
-        r = verify.run_centers(2, (3, 3, 3))
+        r = verify.run_suite("centers", 2, (3, 3, 3))
         assert r.line() == (
             "centers (p=2): FAIL (10 checks, 1 failures, "
             "first: zeta=(2, 2, 2), mu=(2, 2, 2): gap profile broken)"
