@@ -17,14 +17,15 @@ Three certified transports move bases around the lattice: the q-th power
 Frobenius (mu -> q mu), the shift theta -> theta(x) x^(p^d) dx -
 theta(y) y^(p^d) dy (mu -> mu + (p^d, p^d, 0), guaranteed when m3 <= p^d),
 and the reflection theta -> dual inside the cube of side p^d
-(mu -> (p^d - m1, p^d - m2, m3)).  plan_basis recurses on the preimage of
-the first transport that applies until it can seed a binomial pair (falling
-back to the lattice solver), then applies each transport on the way
-back up, certifying every hop.
+(mu -> (p^d - m1, p^d - m2, m3)).  plan_basis walks mu down by the first
+transport that applies until it can seed a binomial pair (or falls back to
+the lattice solver), moves the seed back up one map per run of equal hops,
+and certifies the pair it emits once, at mu.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from .derivmod import (
@@ -36,7 +37,7 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
-from .fpcore import GuardError, g_set, least_dominated
+from .fpcore import g_set, least_dominated
 from .homopoly import HomoPoly, binomial_row
 from .oracle import oracle_exponents
 
@@ -116,10 +117,7 @@ def psi_basis(mu, p: int) -> BasisPair:
     mu = as_multiplicity(mu)
     if not gamma_membership(mu, p):
         raise NotInGammaError(f"binomial pair is not a basis at {tuple(mu)}")
-    psi, psi_alt = psi_fields(mu, p)
-    if mu.mu1 + mu.mu2 < mu.mu3:
-        return _certified_pair(psi_alt, psi, mu)
-    return _certified_pair(psi, psi_alt, mu)
+    return _certified_pair(*psi_fields(mu, p), mu)
 
 
 def b_set(m: int, p: int) -> list[Multiplicity]:
@@ -128,15 +126,11 @@ def b_set(m: int, p: int) -> list[Multiplicity]:
     These are (g+1, g'+1, m) for complementary pairs g + g' = m in the
     digit-dominance set; each has m1 + m2 = m + 2 and exponent gap 0.
     """
-    if m < 1:
-        raise ValueError("b_set requires m >= 1")
     return gamma_slice(m, p).minimal_complement
 
 
 def s_set(m: int, p: int) -> list[Multiplicity]:
     """Maximal elements of the binomial-basis region at level m."""
-    if m < 1:
-        raise ValueError("s_set requires m >= 1")
     return gamma_slice(m, p).maximal_elements
 
 
@@ -162,19 +156,39 @@ def gamma_slice(m: int, p: int) -> GammaSlice:
 # -- certified transports ----------------------------------------------------
 
 
+def _hop(fields, mu: Multiplicity, step: TransformStep, n: int = 1):
+    """Fields of a basis for mu moved by n equal hops, and their multiplicity,
+    which is guarded before any field moves.  n lifts by q are one lift by q^n;
+    n shifts by e = p^d map theta to theta(x) x^(ne) dx + (-1)^n theta(y) y^(ne) dy;
+    the reflection maps f x^m1 dx + g y^m2 dy to g x^(e-m1) dx - f y^(e-m2) dy.
+    Each map is F_p-linear and adds one degree to both fields: pairs keep order."""
+    p, (m1, m2, m3) = fields[0].p, mu
+    if step.kind == "FrobeniusLift":
+        q = step.param**n
+        target, move = mu.scaled(q), lambda t: t.frobenius(q)
+    elif step.kind == "PeriodShift":
+        s = n * p**step.param
+        target = Multiplicity(m1 + s, m2 + s, m3)
+        move = lambda t: VectorField(
+            t.f.times_x_power(s), (-t.g if n % 2 else t.g).times_y_power(s)
+        )
+    else:
+        e = p**step.param
+        target = dual_multiplicity(mu, p, step.param)
+        move = lambda t: VectorField(
+            t.g.div_y_power(m2).times_x_power(e - m1), (-t.f.div_x_power(m1)).times_y_power(e - m2)
+        )
+    basis_guard(target)
+    return [move(t) for t in fields], target
+
+
 def frobenius_lift(pair: BasisPair, mu, q: int) -> tuple[BasisPair, Multiplicity]:
     """Transport a basis for mu to one for q*mu via the q-th power Frobenius."""
-    mu = as_multiplicity(mu)
     p = pair.low.p
     if q < p:  # frobenius_scale rejects every q that is not a power of p
         raise ValueError(f"q must be a positive power of {p} with q >= {p}")
-    target = basis_guard(mu.scaled(q))
-    return _certified_pair(pair.low.frobenius(q), pair.high.frobenius(q), target), target
-
-
-def _shift_field(theta: VectorField, e: int) -> VectorField:
-    """theta(x) x^e dx - theta(y) y^e dy."""
-    return VectorField(theta.f.times_x_power(e), (-theta.g).times_y_power(e))
+    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("FrobeniusLift", q))
+    return _certified_pair(*fields, target), target
 
 
 def period_shift(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
@@ -184,22 +198,10 @@ def period_shift(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
     transform is still attempted and the Saito certificate decides, raising
     CertificationError when the image is not a basis.
     """
-    mu = as_multiplicity(mu)
     if d < 1:
         raise ValueError("period_shift requires d >= 1")
-    e = pair.low.p**d
-    target = basis_guard(Multiplicity(mu.mu1 + e, mu.mu2 + e, mu.mu3))
-    fields = (_shift_field(pair.low, e), _shift_field(pair.high, e))
+    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("PeriodShift", d))
     return _certified_pair(*fields, target), target
-
-
-def _dual_field(theta: VectorField, mu: Multiplicity, e: int) -> VectorField:
-    """Cofactor reflection: f x^m1 dx + g y^m2 dy -> g x^(e-m1) dx - f y^(e-m2) dy."""
-    fhat = theta.f.div_x_power(mu.mu1)
-    ghat = theta.g.div_y_power(mu.mu2)
-    return VectorField(
-        ghat.times_x_power(e - mu.mu1), (-fhat).times_y_power(e - mu.mu2)
-    )
 
 
 def dual_basis(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
@@ -208,12 +210,9 @@ def dual_basis(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
     Requires mu inside the closed cube of side p^d.  Applying the map twice
     returns the original pair up to sign.
     """
-    mu = as_multiplicity(mu)
     if d < 1:
         raise ValueError("dual_basis requires d >= 1")
-    target = basis_guard(dual_multiplicity(mu, pair.low.p, d))
-    e = pair.low.p**d
-    fields = (_dual_field(pair.low, mu, e), _dual_field(pair.high, mu, e))
+    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("Dual", d))
     return _certified_pair(*fields, target), target
 
 
@@ -229,60 +228,58 @@ def dual_multiplicity(mu, p: int, d: int) -> Multiplicity:
 # -- the planner --------------------------------------------------------------
 
 
-def _plan(mu: Multiplicity, p: int) -> tuple[BasisPair, list[TransformStep]]:
-    """plan_basis without its fallback: a failed hop raises CertificationError."""
-    if gamma_membership(mu, p):
-        return psi_basis(mu, p), []
-    if mu.total > 0 and all(c % p == 0 for c in mu):
-        pre = Multiplicity(mu.mu1 // p, mu.mu2 // p, mu.mu3 // p)
-        pair, trace = _plan(pre, p)
-        trace.append(TransformStep("FrobeniusLift", p))
-        return frobenius_lift(pair, pre, p)[0], trace
-    d = 1
-    while p ** (d + 1) <= min(mu.mu1, mu.mu2):
-        d += 1
-    e = p**d
-    if mu.mu3 <= e <= min(mu.mu1, mu.mu2):
-        pre = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
-        pair, trace = _plan(pre, p)
-        trace.append(TransformStep("PeriodShift", d))
-        return period_shift(pair, pre, d)[0], trace
-    d = 1
-    while p**d < max(mu):
-        d += 1
-    nu = dual_multiplicity(mu, p, d)
-    if gamma_membership(nu, p):
-        return dual_basis(psi_basis(nu, p), nu, d)[0], [TransformStep("Dual", d)]
-    return oracle_exponents(mu, p)[2], []
+def _walk(mu: Multiplicity, p: int) -> tuple[Multiplicity, bool, list[TransformStep]]:
+    """Walk mu down by plan_basis's rules: the seed, whether the binomial
+    pair seeds it, and the hops from the seed up to mu in the order applied."""
+    hops = []
+    while not gamma_membership(mu, p):
+        if mu.total > 0 and all(c % p == 0 for c in mu):
+            hops.append(TransformStep("FrobeniusLift", p))
+            mu = Multiplicity(mu.mu1 // p, mu.mu2 // p, mu.mu3 // p)
+            continue
+        d = 1
+        while p ** (d + 1) <= min(mu.mu1, mu.mu2):
+            d += 1
+        e = p**d
+        if mu.mu3 <= e <= min(mu.mu1, mu.mu2):
+            hops.append(TransformStep("PeriodShift", d))
+            mu = Multiplicity(mu.mu1 - e, mu.mu2 - e, mu.mu3)
+            continue
+        d = 1
+        while p**d < max(mu):
+            d += 1
+        nu = dual_multiplicity(mu, p, d)
+        if not gamma_membership(nu, p):
+            return mu, False, hops[::-1]
+        hops.append(TransformStep("Dual", d))
+        mu = nu
+    return mu, True, hops[::-1]
 
 
 def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     """Certified basis for any mu, preferring transported binomial pairs.
 
-    The first rule that applies decides: the binomial seed when mu is in
-    the binomial region; else the Frobenius lift of the plan for mu/p when
-    p divides every coordinate; else the period shift of the plan for
-    mu - (p^d, p^d, 0) with the largest theorem-safe d (m3 <= p^d <=
-    min(m1, m2)); else the reflection through the smallest enclosing cube
-    if that lands in the binomial region; else the lattice solver.
-    Shifts outside the theorem range are never planned: the shifted image
-    of the monomial pair element has (x+y)-order exactly p^d, so such a hop
-    cannot certify.  Every hop carries a Saito certificate and the trace
-    lists the hops in the order they were applied; the last hop's
-    certificate is made at mu itself, so the returned pair is not checked
-    again.  A failed hop (a bug by
-    construction) anywhere in the recursion falls back to the lattice
-    solver at the original mu, with an empty trace.  A plan too long for
-    the interpreter's recursion limit (only possible for p above about 200,
-    where one level can take p - 1 shifts) raises GuardError.
+    mu is walked down by the first rule that applies: the binomial seed in
+    the binomial region; else the Frobenius lift from mu/p when p divides
+    every coordinate; else the period shift from mu - (p^d, p^d, 0) with
+    the largest theorem-safe d (m3 <= p^d <= min(m1, m2)); else the
+    reflection through the smallest enclosing cube if that lands in the
+    binomial region; else the lattice solver.  Shifts outside the theorem
+    range are never planned: the shifted monomial element has (x+y)-order
+    exactly p^d, so such a hop cannot certify.  The seed moves back up one
+    map per run of equal hops, and the trace lists every hop in the order
+    applied.  Only the emitted pair is certified, at mu; should that fail
+    (a bug by construction), the lattice solver answers with an empty
+    trace.  A basis beyond the dense-row guard raises GuardError up front.
     """
-    mu = as_multiplicity(mu)
-    try:
-        pair, trace = _plan(mu, p)
-    except RecursionError:
-        # ~1000 hops; certifying them at such |mu| would take tens of minutes
-        raise GuardError(f"plan for {tuple(mu)} exceeds the recursion limit") from None
-    except CertificationError:
-        _, _, pair = oracle_exponents(mu, p)
-        trace = []
-    return _normalized(pair), trace
+    mu = basis_guard(as_multiplicity(mu))
+    seed, binomial, trace = _walk(mu, p)
+    if binomial or trace:  # else the solver's pair at mu is already certified
+        fields = psi_fields(seed, p) if binomial else oracle_exponents(seed, p)[2][:2]
+        for step, run in groupby(trace):
+            fields, seed = _hop(fields, seed, step, len(list(run)))
+        try:
+            return _certified_pair(*fields, mu), trace
+        except CertificationError:
+            trace = []
+    return _normalized(oracle_exponents(mu, p)[2]), trace

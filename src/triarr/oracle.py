@@ -24,6 +24,7 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
+from .fpcore import DENSE_ROW_GUARD, GuardError
 from .homopoly import HomoPoly, binomial_power, binomial_row
 
 # perfbench/run.py --trace 1 sums this table for its Pascal-cache metric.  The
@@ -196,14 +197,15 @@ def slice_dim(mu, p: int, d: int) -> int:
 
 
 def degree_slice(mu, p: int, d: int) -> DegreeSlice:
-    """Canonical basis of the degree-d graded piece, by last coordinate."""
+    """Canonical basis of the degree-d graded piece, by last coordinate.  Its
+    span matrix, one row per shift of a lattice row and one column per slice
+    coordinate, is refused beyond DENSE_ROW_GUARD entries before it is built."""
     mu = basis_guard(as_multiplicity(mu))
     basis = lattice_basis(mu, p)
-    spans = [
-        _coords(row, mu, d, i)
-        for row, deg in zip(basis[:2], basis.degrees)
-        for i in range(d - deg + 1)
-    ]
+    shifts = [max(0, d - deg + 1) for deg in basis.degrees]
+    if sum(shifts) * (max(0, d - mu.mu1 + 1) + max(0, d - mu.mu2 + 1)) > DENSE_ROW_GUARD:
+        raise GuardError(f"the degree-{d} slice of {tuple(mu)} exceeds the dense-row guard")
+    spans = [_coords(row, mu, d, i) for row, n in zip(basis[:2], shifts) for i in range(n)]
     return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _echelon(spans, p)])
 
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -93,6 +92,42 @@ def _reference_plan(mu, p):
     assert mu == original and saito_check(pair.low, pair.high, original)
     trace = pre_trace + list(reversed(steps))
     return _normalized(pair), [f"{kind}({param})" for kind, param in trace]
+
+
+def _transport_sample(n, seed=12):
+    """Seeded transport-shaped points: p^k nu with nu in [0, 6]^3, shifted by
+    a random multiple of the smallest theorem-safe (p^d, p^d, 0), the one
+    with m3 <= p^d; |mu| <= 1500."""
+    rng = random.Random(seed)
+    while n:
+        p = rng.choice((2, 3, 5, 7))
+        k = rng.randint(0, 5)
+        m1, m2, m3 = (p**k * rng.randint(0, 6) for _ in range(3))
+        e = p
+        while e < m3:
+            e *= p
+        s = rng.randint(0, 4) * e
+        if m1 + m2 + m3 + 2 * s <= 1500:
+            yield (m1 + s, m2 + s, m3), p
+            n -= 1
+
+
+def _trace_shapes(mu, p, trace):
+    """Which transport shapes a trace shows: runs of two or more equal hops,
+    a reflection followed by such a run, and a solver seed below hops."""
+    runs = [(k, len(list(g))) for k, g in itertools.groupby(t.kind for t in trace)]
+    shapes = {f"{k} run" for k, n in runs if n >= 2}
+    if runs and runs[0][0] == "Dual" and any(n >= 2 for _, n in runs[1:]):
+        shapes.add("Dual then run")
+    m1, m2, m3 = mu
+    for t in reversed(trace):  # undo the hops down to the seed
+        if t.kind == "FrobeniusLift":
+            m1, m2, m3 = m1 // p, m2 // p, m3 // p
+        else:
+            m1, m2 = m1 - p**t.param, m2 - p**t.param
+    if trace and trace[0].kind != "Dual" and not gamma_membership((m1, m2, m3), p):
+        shapes.add("solver then hops")
+    return shapes
 
 
 class TestGammaMembership:
@@ -405,25 +440,40 @@ class TestDualBasis:
 
 class TestPlanBasis:
     def test_matches_record_and_replay_reference(self):
-        for p in (2, 3, 5, 7):
-            for mu in itertools.product(range(9), repeat=3):
-                pair, trace = plan_basis(mu, p)
-                ref_pair, ref_trace = _reference_plan(mu, p)
-                assert pair.low.to_text() == ref_pair.low.to_text(), (mu, p)
-                assert pair.high.to_text() == ref_pair.high.to_text(), (mu, p)
-                assert [str(t) for t in trace] == ref_trace, (mu, p)
+        box = [(mu, p) for p in (2, 3, 5, 7) for mu in itertools.product(range(9), repeat=3)]
+        shapes = set()
+        for mu, p in box + list(_transport_sample(400)):
+            pair, trace = plan_basis(mu, p)
+            ref_pair, ref_trace = _reference_plan(mu, p)
+            assert pair.low.to_text() == ref_pair.low.to_text(), (mu, p)
+            assert pair.high.to_text() == ref_pair.high.to_text(), (mu, p)
+            assert [str(t) for t in trace] == ref_trace, (mu, p)
+            shapes |= _trace_shapes(mu, p, trace)
+        assert shapes == {
+            "FrobeniusLift run", "PeriodShift run", "Dual then run", "solver then hops"
+        }
 
     def test_direct_region_no_steps(self):
         pair, trace = plan_basis((3, 3, 4), 2)
         assert trace == []
         assert pair.low.to_text() == "(x^4) dx + (y^4) dy"
 
-    def test_plan_deeper_than_the_recursion_limit_is_refused(self):
-        # one shift by p per level down to the seed (0, 0, 5); each hop would
-        # be certified at degree up to 2 * p * k, beyond desk scale
-        p, k = 10007, sys.getrecursionlimit() + 1
+    def test_long_shift_run_is_one_map(self):
+        # 200 shifts by p down to the seed (0, 0, 5), moved up as one map
+        p, k = 1009, 200
+        mu = (p * k, p * k, 5)
+        pair, trace = plan_basis(mu, p)
+        assert [str(t) for t in trace] == ["PeriodShift(1)"] * k
+        assert pair.certified and saito_check(pair.low, pair.high, mu)
+        assert pair.exponents == fast_exponents(mu, p).exponents
+
+    def test_basis_beyond_the_dense_row_guard_is_refused_before_the_walk(self, monkeypatch):
+        def no_walk(mu, p):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(basisfactory, "gamma_membership", no_walk)
         with pytest.raises(GuardError):
-            plan_basis((p * k, p * k, 5), p)
+            plan_basis((1 << 21, 1 << 21, 1), 2)  # |mu| + 1 = 2^22 + 2
 
     def test_oracle_fallback_for_eg31(self):
         # the worked-out shift route is unsound here (see the regression
@@ -448,8 +498,8 @@ class TestPlanBasis:
         assert not claimed_high.apply_to_sum().divisible_by_linear_power(28)
 
     def test_each_pair_is_certified_once(self, monkeypatch):
-        # every rule's pair is already certified at mu itself, through
-        # _certified_pair or the lattice solver; plan_basis adds no check
+        # only the emitted pair is certified, at mu itself; a solver seed
+        # below the hops carries the solver's own certificate as well
         calls = []
 
         def counted(t1, t2, mu):
@@ -458,11 +508,19 @@ class TestPlanBasis:
 
         monkeypatch.setattr(basisfactory, "saito_check", counted)
         monkeypatch.setattr(oracle, "saito_check", counted)
-        for mu, p in (((41, 52, 31), 3), ((3, 3, 4), 2)):  # solver; seed only
+        big = (1009 * 50, 1009 * 50, 5)
+        for mu, p, hops, checks in (
+            ((41, 52, 31), 3, 0, [(41, 52, 31)]),  # the solver at mu
+            ((3, 3, 4), 2, 0, [(3, 3, 4)]),  # the binomial seed at mu
+            ((9, 9, 2), 2, 1, [(9, 9, 2)]),  # binomial-seeded transports
+            ((8, 8, 4), 5, 2, [(8, 8, 4)]),
+            (big, 1009, 50, [big]),
+            ((6, 10, 8), 2, 1, [(3, 5, 4), (6, 10, 8)]),  # the solver, lifted
+        ):
             calls.clear()
             pair, trace = plan_basis(mu, p)
-            assert trace == [] and pair.certified
-            assert calls == [mu]
+            assert len(trace) == hops and pair.certified
+            assert calls == checks, (mu, p)
 
     def test_scaled_euler_family(self):
         for p in (2, 3, 5):

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import dense_referee as dense
 import numpy as np
+import pytest
 from dense_referee import nullspace_mod_p, row_reduce_mod_p
 
 import triarr
 from triarr.derivmod import Multiplicity, in_module, saito_check
 from triarr.fastexp import enumerate_centers, fast_exponents
+from triarr.fpcore import GuardError
 from triarr.homopoly import HomoPoly
 from triarr.oracle import (
     degree_slice,
@@ -93,6 +95,16 @@ class TestDegreeSlice:
     def test_empty_multiplicity_degree_zero(self):
         sl = degree_slice((0, 0, 0), 3, 0)
         assert sl.dim == 2
+
+    def test_span_matrix_beyond_dense_guard_refused_at_once(self):
+        # (1, 1, 1) has exponents (1, 2): at d = 1024 the span matrix has
+        # 2047 x 2048 entries, within 2^22; one degree more is refused
+        assert degree_slice((1, 1, 1), 2, 8).dim == 15
+        for d in (1025, 2**21):
+            start = time.perf_counter()
+            with pytest.raises(GuardError):
+                degree_slice((1, 1, 1), 2, d)
+            assert time.perf_counter() - start < 0.5
 
     def test_334_p5_dims(self):
         assert slice_dim((3, 3, 4), 5, 4) == 0
