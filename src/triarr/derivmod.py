@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError
-from .homopoly import HomoPoly, binomial_power
+from .homopoly import HomoPoly, binomial_power, dense_guard
 
 
 class CertificationError(RuntimeError):
@@ -179,8 +179,8 @@ class BasisPair(_PairFields):
 def defining_poly(mu, p: int) -> HomoPoly:
     """x^m1 y^m2 (x+y)^m3 over F_p."""
     mu = as_multiplicity(mu)
+    coeffs = [0] * dense_guard(mu.total + 1, "a defining polynomial")
     row = binomial_power(mu.mu3, p)  # never zero: leading coefficient is 1
-    coeffs = [0] * (mu.total + 1)
     for j, c in enumerate(row.coeffs):
         coeffs[mu.mu1 + j] = c
     return HomoPoly(p, coeffs)

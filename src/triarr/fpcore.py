@@ -14,7 +14,7 @@ from itertools import product
 # below 2^20 entries.
 DEGREE_GUARD = 1 << 32
 GSET_GUARD = 1 << 20
-# Longest dense binomial row (the m + 1 coefficients of (x + y)^m) built; the
+# Longest dense coefficient list built, checked by homopoly.dense_guard; the
 # degree guard alone would admit 32 GiB of references per list.  The costliest
 # pair below it, the binomial basis for (0, 0, 2^22 - 1) over F_2, takes about
 # 3 s and 210 MB to build and certify (2-core VM); uses stay below |mu| = 10^4.

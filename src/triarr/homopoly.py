@@ -20,6 +20,14 @@ from __future__ import annotations
 from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError, binom_mod_p, digits
 
 
+def dense_guard(n: int, what: str) -> int:
+    """n, when a dense list of n coefficients fits DENSE_ROW_GUARD; callers
+    check before they build the list."""
+    if n > DENSE_ROW_GUARD:
+        raise GuardError(f"{what} of {n} coefficients exceeds {DENSE_ROW_GUARD}")
+    return n
+
+
 class HomoPoly:
     """Homogeneous bivariate polynomial over F_p (immutable)."""
 
@@ -66,7 +74,7 @@ class HomoPoly:
         """c * x^i * y^j."""
         if i < 0 or j < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        coeffs = [0] * (i + j + 1)
+        coeffs = [0] * dense_guard(i + j + 1, "a monomial")
         coeffs[i] = c
         return cls(p, coeffs)
 
@@ -164,11 +172,13 @@ class HomoPoly:
     def times_x_power(self, k: int) -> "HomoPoly":
         if self.is_zero or k == 0:
             return self
+        dense_guard(len(self.coeffs) + k, "a product")
         return HomoPoly._canonical(self.p, (0,) * k + self.coeffs)
 
     def times_y_power(self, k: int) -> "HomoPoly":
         if self.is_zero or k == 0:
             return self
+        dense_guard(len(self.coeffs) + k, "a product")
         return HomoPoly._canonical(self.p, self.coeffs + (0,) * k)
 
     def div_x_power(self, k: int) -> "HomoPoly":
@@ -254,7 +264,7 @@ class HomoPoly:
             raise ValueError(f"{q} is not a power of {self.p}")
         if self.is_zero or q == 1:
             return self
-        out = [0] * (q * self.degree + 1)
+        out = [0] * dense_guard(q * self.degree + 1, "a Frobenius power")
         for i, a in enumerate(self.coeffs):
             out[q * i] = a
         return HomoPoly._canonical(self.p, tuple(out))
@@ -325,8 +335,7 @@ def binomial_row(m: int, p: int, n: int) -> list[int]:
     """
     if m < 0:
         raise ValueError("binomial_row requires m >= 0")
-    if n > DENSE_ROW_GUARD:
-        raise GuardError(f"a row of {n} binomial coefficients exceeds {DENSE_ROW_GUARD}")
+    dense_guard(n, "a binomial row")
     ds = digits(m, p)
     row = [1]
     for i in reversed(range(len(ds))):

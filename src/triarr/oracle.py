@@ -9,6 +9,13 @@ exponents, and the rows' shifts span every slice.  Slice coordinates are F's
 coefficients, then G's; emitted bases are reduced echelon read from the last
 column.  Saito's criterion certifies every pair.  No ball geometry is used,
 so the solver stays an independent referee for fastexp.
+
+The generator needs no division.  For m1 < m3 the remainder is u^m1; else,
+with s = m1 - m3 and t = m3 - 1 - j, its u^j coefficient (j < m3) is
+(-1)^(m1+m3-1) C(m1, j) C(s + t, s).  The Pascal column C(s + t, s) is
+(-1)^t C(-s - 1, t) = (-1)^t C(q - s - 1, t) mod p for a power q of p with
+q >= max(m3, s + 1), since Lucas reads t < q through the digits below q.  So
+the generator is two Lucas rows of at most m3 entries, one read backwards.
 """
 
 from __future__ import annotations
@@ -35,27 +42,6 @@ _pascal_cache: dict = {}
 # ascending in u and without trailing zeros -----------------------------------
 
 
-def _taylor_shift(c: list[int], p: int) -> list[int]:
-    """Coefficients of R(u + 1) for R(v) = sum c_k v^k: blocks of q = p^i
-    coefficients, shifted recursively, joined by Horner in (u + 1)^q = u^q + 1."""
-    n = len(c)
-    if n <= 1:
-        return list(c)
-    q = 1
-    while q * p < n:
-        q *= p
-    blocks = [_taylor_shift(c[i : i + q], p) for i in range(0, n, q)]
-    acc = blocks.pop()
-    for block in reversed(blocks):
-        acc = [0] * q + acc
-        for i in range(len(acc) - q):
-            acc[i] += acc[i + q]
-        for i, b in enumerate(block):
-            acc[i] += b
-        acc = [a % p for a in acc]
-    return acc
-
-
 def _trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
@@ -63,12 +49,18 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _generators(mu: Multiplicity, p: int) -> list[tuple[list[int], list[int]]]:
-    """(1, -(u^m1 mod (u+1)^m3)) and (0, (u+1)^m3)."""
+    """(1, -(u^m1 mod (u+1)^m3)) and (0, (u+1)^m3), in the closed form above."""
     m1, _, m3 = mu
-    # with v = u + 1, -(u^m1 mod (u+1)^m3) is -(v - 1)^m1 cut below v^m3
-    row = binomial_row(m1, p, min(m3, m1 + 1))
-    neg = [(c if (m1 - k) % 2 else -c) % p for k, c in enumerate(row)]
-    return [([1], _trim(_taylor_shift(neg, p))), ([], list(binomial_power(m3, p).coeffs))]
+    modulus = list(binomial_power(m3, p).coeffs)  # first, so its guard trips first
+    if m1 < m3:
+        return [([1], [0] * m1 + [p - 1]), ([], modulus)]
+    s, q = m1 - m3, 1
+    while q < max(m3, s + 1):
+        q *= p
+    col = binomial_row(q - s - 1, p, min(m3, q - s)) + [0] * max(0, m3 - q + s)
+    g = [(a * b if (m1 + j) % 2 else -a * b) % p
+         for j, (a, b) in enumerate(zip(binomial_row(m1, p, m3), reversed(col)))]
+    return [([1], _trim(g)), ([], modulus)]
 
 
 def _leading(row, mu: Multiplicity) -> tuple[int, int]:
@@ -101,10 +93,9 @@ def lattice_basis(mu, p: int) -> LatticeBasis:
         t = abs(s0 - s1)
         c = hi[j0][-1] * pow(lo[j0][-1], p - 2, p) % p
         for a, b in zip(hi, lo):
-            if len(a) < len(b) + t:
-                a.extend([0] * (len(b) + t - len(a)))
-            for i, x in enumerate(b, t):
-                a[i] = (a[i] - c * x) % p
+            end = t + len(b)
+            a.extend([0] * (end - len(a)))
+            a[t:end] = [(x - c * y) % p for x, y in zip(a[t:end], b)]
             _trim(a)
         steps += 1
     if s0 > s1:
@@ -170,10 +161,10 @@ def _reduced_high(basis: LatticeBasis, mu: Multiplicity, p: int) -> list[int]:
 
 
 def _vector_field(mu: Multiplicity, p: int, d: int, vec: list[int]) -> VectorField:
+    """The slice vector, whose entries are residues already, as a field."""
     n_f = max(0, d - mu.mu1 + 1)
-    f = [0] * mu.mu1 + vec[:n_f]
-    g = vec[n_f:] + [0] * mu.mu2
-    return VectorField(HomoPoly(p, f), HomoPoly(p, g))
+    f, g = (0,) * mu.mu1 + tuple(vec[:n_f]), tuple(vec[n_f:]) + (0,) * mu.mu2
+    return VectorField(*(HomoPoly._canonical(p, h if any(h) else ()) for h in (f, g)))
 
 
 # -- public solver -----------------------------------------------------------

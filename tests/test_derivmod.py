@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from test_homopoly import refusal_peak_bytes
 
+from triarr import homopoly
 from triarr.basisfactory import plan_basis
 from triarr.derivmod import (
     BasisPair,
@@ -138,6 +140,14 @@ class TestDefiningPoly:
                 * binomial_power(mu[2], p)
             )
             assert defining_poly(mu, p) == prod
+
+    def test_refused_before_it_allocates(self, monkeypatch):
+        # |mu| + 1 = 2^22 + 1 coefficients, refused before the 32 MB list
+        assert refusal_peak_bytes(lambda: defining_poly((1 << 22, 0, 0), 2)) < 1 << 20
+        monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)
+        assert defining_poly((4, 0, 4), 2).degree == 8
+        with pytest.raises(GuardError):
+            defining_poly((5, 0, 4), 2)
 
 
 class TestInModule:

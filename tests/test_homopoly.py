@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,37 @@ class TestConstruction:
     def test_from_terms_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
             HomoPoly.from_terms(3, [(1, 0, 1), (0, 0, 1)])
+
+
+def refusal_peak_bytes(build) -> int:
+    """Traced peak of a call that must raise GuardError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# each builds a polynomial of k + 1 coefficients, k a power of 2
+DENSE_BUILDERS = {
+    "monomial": lambda k: HomoPoly.monomial(2, k, 0),
+    "times_x_power": lambda k: HomoPoly.constant(2, 1).times_x_power(k),
+    "times_y_power": lambda k: HomoPoly.constant(2, 1).times_y_power(k),
+    "frobenius_scale": lambda k: HomoPoly(2, [1, 1]).frobenius_scale(k),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_BUILDERS)
+def test_dense_builder_refuses_before_it_allocates(name, monkeypatch):
+    # 2^22 + 1 coefficients would be a 32 MB list; the refusal traces none of it
+    build = DENSE_BUILDERS[name]
+    assert refusal_peak_bytes(lambda: build(1 << 22)) < 1 << 20
+    monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 9)
+    assert build(8).degree == 8
+    with pytest.raises(GuardError):
+        build(16)
 
 
 class TestAdd:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -9,13 +10,15 @@ import dense_referee as dense
 import numpy as np
 import pytest
 from dense_referee import nullspace_mod_p, row_reduce_mod_p
+from test_homopoly import refusal_peak_bytes
 
 import triarr
 from triarr.derivmod import Multiplicity, in_module, saito_check
 from triarr.fastexp import enumerate_centers, fast_exponents
 from triarr.fpcore import GuardError
-from triarr.homopoly import HomoPoly
+from triarr.homopoly import HomoPoly, binomial_row
 from triarr.oracle import (
+    _generators,
     degree_slice,
     lattice_basis,
     oracle_delta,
@@ -151,6 +154,72 @@ class TestDegreeSlice:
                 assert dense.slice_dim(mu, p, d1 - 1) == 0, (mu, p)
 
 
+def schoolbook_remainders(m1_max, m3, p):
+    """u^m1 mod (u+1)^m3 for m1 = 0, ..., m1_max, coefficients below u^m3:
+    multiply by u and cancel the u^m3 term with C(m3, k)."""
+    modulus = [math.comb(m3, k) % p for k in range(m3 + 1)]
+    rem = [1] + [0] * (m3 - 1) if m3 else []
+    for _ in range(m1_max + 1):
+        yield rem
+        top, shifted = (rem[-1], [0] + rem[:-1]) if m3 else (0, [])
+        rem = [(a - top * b) % p for a, b in zip(shifted, modulus)]
+
+
+def taylor_shift(c, p):
+    """Coefficients of R(u + 1) for R(v) = sum c_k v^k: blocks of q = p^i
+    coefficients, shifted recursively, joined by Horner in (u + 1)^q = u^q + 1."""
+    n = len(c)
+    if n <= 1:
+        return list(c)
+    q = 1
+    while q * p < n:
+        q *= p
+    blocks = [taylor_shift(c[i : i + q], p) for i in range(0, n, q)]
+    acc = blocks.pop()
+    for block in reversed(blocks):
+        acc = [0] * q + acc
+        for i in range(len(acc) - q):
+            acc[i] += acc[i + q]
+        for i, b in enumerate(block):
+            acc[i] += b
+        acc = [a % p for a in acc]
+    return acc
+
+
+def trimmed(a):
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
+class TestGenerators:
+    def test_match_schoolbook_reduction(self):
+        # includes m3 = 0 (remainder 0), m1 = m3 and m1 < m3 (remainder u^m1)
+        for p in (2, 3, 5, 7, 11, 13):
+            for m3 in range(41):
+                modulus = [math.comb(m3, k) % p for k in range(m3 + 1)]
+                for m1, rem in enumerate(schoolbook_remainders(40, m3, p)):
+                    g = trimmed([-a % p for a in rem])
+                    assert _generators((m1, 0, m3), p) == [([1], g), ([], modulus)], (m1, m3, p)
+
+    def test_match_the_taylor_shift_route(self):
+        # with v = u + 1, -(u^m1 mod (u+1)^m3) is -(v - 1)^m1 cut below v^m3,
+        # shifted back to powers of u
+        primes = [q for q in range(2, 1010) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        rng = random.Random(1313)
+        for _ in range(300):
+            p, m1, m3 = rng.choice(primes), rng.randint(0, 1500), rng.randint(0, 1500)
+            row = binomial_row(m1, p, min(m3, m1 + 1))
+            neg = [(c if (m1 - k) % 2 else -c) % p for k, c in enumerate(row)]
+            assert _generators((m1, 0, m3), p)[0] == ([1], trimmed(taylor_shift(neg, p))), (m1, m3, p)
+
+    def test_guard_trips_before_any_list_is_built(self):
+        # (u + 1)^m3 is built first and refused at m3 + 1 > 2^22, before
+        # u^m1 or a row of m1 entries exists
+        for mu in ((1 << 24, 0, (1 << 24) + 1), (5, 0, 1 << 22)):
+            assert refusal_peak_bytes(lambda: oracle_delta(mu, 2)) < 1 << 20, mu
+
+
 class TestOracleExponents:
     def test_reduction_step_counts(self):
         # Mulders-Storjohann cancellations from the two generators to weak
@@ -249,6 +318,11 @@ class TestLatticeAgainstDense:
             d1, d2, pair = oracle_exponents(mu, p)
             assert (d1, d2) == fast_exponents(mu, p).exponents, (mu, p)
             assert pair.certified and saito_check(pair.low, pair.high, mu)
+
+    def test_long_generators_match_closed_form(self):
+        # (u + 1)^m3 rows of 2^18 and 3^11 + 8 entries, reduced against -u^m1
+        for mu, p in (((2**18 - 2, 0, 2**18 - 1), 2), ((3**11, 5, 3**11 + 7), 3)):
+            assert oracle_delta(mu, p) == fast_exponents(mu, p).delta, (mu, p)
 
 
 def test_import_loads_no_numpy():
