@@ -33,7 +33,6 @@ from .derivmod import (
     defining_poly,
     in_module,
     saito_check,
-    saito_det,
 )
 from .fastexp import (
     BallHit,
@@ -106,7 +105,6 @@ __all__ = [
     "s_index",
     "s_set",
     "saito_check",
-    "saito_det",
     "slice_dim",
     "unbalanced_exponents",
 ]

@@ -65,22 +65,12 @@ class AtlasSpec(_SpecFields):
         return self
 
 
-class AtlasGrid:
+class AtlasGrid(NamedTuple):
     """Computed atlas: values[m1][m2] (None = out of domain) plus center cells."""
 
-    __slots__ = ("spec", "values", "centers")
-
-    def __init__(self, spec: AtlasSpec, values=None, centers=None):
-        self.spec = spec
-        self.values: list[list[int | None]] = [] if values is None else values
-        self.centers: set[tuple[int, int]] = set() if centers is None else centers
-
-    def __eq__(self, other):
-        if not isinstance(other, AtlasGrid):
-            return NotImplemented
-        return (self.spec, self.values, self.centers) == (
-            other.spec, other.values, other.centers
-        )
+    spec: AtlasSpec
+    values: list[list[int | None]]
+    centers: set[tuple[int, int]]
 
     @property
     def vmax(self) -> int:
@@ -204,7 +194,10 @@ def render_json_obj(grid: AtlasGrid) -> dict:
     }
 
 
-def render_svg(grid: AtlasGrid, cell_px: int = 10) -> str:
+CELL_PX = 10  # svg pixels per cell side
+
+
+def render_svg(grid: AtlasGrid) -> str:
     """Self-contained SVG: unit squares, grayscale by value, legend strip.
 
     Low values print dark so that the zero-gap set reads as the filled
@@ -213,8 +206,8 @@ def render_svg(grid: AtlasGrid, cell_px: int = 10) -> str:
     spec = grid.spec
     n1, n2 = spec.max_mu1 + 1, spec.max_mu2 + 1
     vmax = grid.vmax
-    legend_h = 3 * cell_px
-    w, h = n2 * cell_px, n1 * cell_px + legend_h
+    legend_h = 3 * CELL_PX
+    w, h = n2 * CELL_PX, n1 * CELL_PX + legend_h
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
@@ -228,27 +221,27 @@ def render_svg(grid: AtlasGrid, cell_px: int = 10) -> str:
                 shade = 0 if v else 255
             else:
                 shade = 255 if vmax == 0 else 255 - round(255 * v / vmax)
-            x, y = m2 * cell_px, m1 * cell_px
+            x, y = m2 * CELL_PX, m1 * CELL_PX
             outline = ' stroke="red" stroke-width="1"' if (m1, m2) in grid.centers else ""
             parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" '
                 f'fill="rgb({shade},{shade},{shade})"{outline}/>'
             )
-    ly = n1 * cell_px + cell_px
+    ly = n1 * CELL_PX + CELL_PX
     for t in range(11):
         shade = 255 - round(255 * t / 10)
         parts.append(
-            f'<rect x="{t * 2 * cell_px}" y="{ly}" width="{2 * cell_px}" '
-            f'height="{cell_px}" fill="rgb({shade},{shade},{shade})"/>'
+            f'<rect x="{t * 2 * CELL_PX}" y="{ly}" width="{2 * CELL_PX}" '
+            f'height="{CELL_PX}" fill="rgb({shade},{shade},{shade})"/>'
         )
     lo, hi = ("filled: gap 0", "") if spec.cell == "zero" else ("0", str(vmax))
     parts.append(
-        f'<text x="0" y="{ly + 2 * cell_px}" font-size="{cell_px}">{lo}</text>'
+        f'<text x="0" y="{ly + 2 * CELL_PX}" font-size="{CELL_PX}">{lo}</text>'
     )
     if hi:
         parts.append(
-            f'<text x="{20 * cell_px}" y="{ly + 2 * cell_px}" '
-            f'font-size="{cell_px}" text-anchor="end">{hi}</text>'
+            f'<text x="{20 * CELL_PX}" y="{ly + 2 * CELL_PX}" '
+            f'font-size="{CELL_PX}" text-anchor="end">{hi}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

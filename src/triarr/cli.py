@@ -4,8 +4,8 @@ Subcommands: exp | basis | oracle | table | centers | gamma | verify;
 oracle is basis --strategy oracle.  Flags on every subcommand:
 -p/--prime, --format (choices per subcommand), --out FILE; verify also
 takes --seed N.  Everything runs in this one process.  Exit codes:
-0 success, 1 failed verification property, 2 usage or desk-guard error,
-3 strategy precondition failure.
+0 success, 1 failed verification property, 2 usage or desk-guard error
+or an unwritable --out, 3 strategy precondition failure.
 """
 
 from __future__ import annotations
@@ -292,8 +292,12 @@ def main(argv=None) -> int:
     if isinstance(result, tuple):
         result, code = result
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write(fh, result)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write(fh, result)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         _write(sys.stdout, result)
     return code

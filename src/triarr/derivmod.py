@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError
+from .fpcore import DEGREE_GUARD, GuardError
 from .homopoly import HomoPoly, binomial_power, dense_guard
 
 
@@ -74,8 +74,7 @@ def basis_guard(mu: Multiplicity) -> Multiplicity:
     at most |mu| + 1 coefficients; larger bases are refused before any list
     is built.
     """
-    if mu.total + 1 > DENSE_ROW_GUARD:
-        raise GuardError(f"a basis for |mu| = {mu.total} exceeds the dense-row guard")
+    dense_guard(mu.total + 1, "a basis component")
     return mu
 
 
@@ -194,11 +193,6 @@ def in_module(theta: VectorField, mu) -> bool:
         and theta.g.divisible_by_axis("y", mu.mu2)
         and theta.apply_to_sum().divisible_by_linear_power(mu.mu3)
     )
-
-
-def saito_det(t1: VectorField, t2: VectorField) -> HomoPoly:
-    """Coefficient determinant f1*g2 - f2*g1."""
-    return t1.f * t2.g - t2.f * t1.g
 
 
 def saito_check(t1: VectorField, t2: VectorField, mu) -> bool:

@@ -112,13 +112,10 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
     Returns None when mu lies in no such ball.  The center is unique:
     distinct odd-sum points are >= 2 apart in the 1-norm, so the scaled
     open balls are disjoint.  Comparisons of halves are done as doubled
-    integers to keep everything exact.
+    integers to keep everything exact.  decompose validates mu and k >= 1.
     """
-    mu = as_multiplicity(mu)
-    if k < 1:
-        raise ValueError("ball_center requires k >= 1")
-    q = p**k
     alpha, beta = decompose(mu, p, k)
+    q = p**k
     btot = beta.total
     if alpha.total % 2 == 0:
         for i in range(3):
@@ -169,9 +166,6 @@ def compute_k(mu, p: int) -> int:
     return _walk(mu, p)[0]
 
 
-_CASE_TAG = {"C": "CaseC", "D": "CaseD", "E": "CaseE", "F": "CaseF"}
-
-
 def fast_exponents(mu, p: int) -> ExponentReport:
     """Exponent gap and pair for any mu: the distance to the ball's center."""
     mu = as_multiplicity(mu)
@@ -198,7 +192,7 @@ def fast_exponents(mu, p: int) -> ExponentReport:
         p=p,
         delta=delta,
         exponents=((total - delta) // 2, (total + delta) // 2),
-        tag=_CASE_TAG[hit.case],
+        tag="Case" + hit.case,
         k=k,
         center=hit.center,
         alpha=hit.alpha,
@@ -227,12 +221,14 @@ def delta_zero(mu, p: int) -> bool:
 def enumerate_centers(p: int, k: int, box) -> CenterSet:
     """All radius-p^k component centers within the box (componentwise).
 
-    A center of radius p^k is a point of p^k*(balanced odd lattice) not
-    contained in any radius-p^m ball around p^m*(balanced odd lattice) for
-    m > k, i.e. one whose scale walk ends at k: zeta = p^k*nu is its own
-    case-F center at scale k, and the walk's bound 2 p^m <= |zeta| loses no
-    scale because such a ball holds only points of total above 2 p^m.  A box
-    with more than CENTER_CANDIDATE_GUARD points p^k * nu raises GuardError.
+    A center of radius p^k is a point zeta = p^k*nu (nu balanced, |nu| odd)
+    in no radius-p^m ball around p^m*(balanced odd lattice) for m > k.  The
+    balls scale by p: ball_center(p^k nu, p, m) is p^k ball_center(nu, p, m-k),
+    and the scales up to k add no ball and no rejection, so zeta is a center
+    exactly when nu's walk finds no ball, with the same rejections.  The
+    walk's bound 2 p^m <= |nu| loses no scale, since such a ball holds only
+    totals above 2 p^m.  A box with more than CENTER_CANDIDATE_GUARD points
+    p^k * nu raises GuardError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -243,15 +239,11 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     q = p**k
     if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
         raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")
-    centers = []
-    for n1 in range(0, box.mu1 // q + 1):
-        for n2 in range(0, box.mu2 // q + 1):
-            for n3 in range(0, box.mu3 // q + 1):
+    centers = []  # ascending, since nu runs through the box in order
+    for n1 in range(box.mu1 // q + 1):
+        for n2 in range(box.mu2 // q + 1):
+            for n3 in range(box.mu3 // q + 1):
                 nu = Multiplicity(n1, n2, n3)
-                if nu.total % 2 == 0 or not is_balanced(nu):
-                    continue
-                zeta = nu.scaled(q)
-                if compute_k(zeta, p) == k:
-                    centers.append(zeta)
-    centers.sort()
+                if nu.total % 2 and is_balanced(nu) and compute_k(nu, p) == 0:
+                    centers.append(nu.scaled(q))
     return CenterSet(p=p, k=k, box=box, centers=centers)

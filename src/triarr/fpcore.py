@@ -8,14 +8,12 @@ residues) and the digit-dominance set G_m.
 
 from __future__ import annotations
 
-from itertools import product
-
-# Desk-scale guardrails: degrees stay below 2^32, digit-dominance sets
-# below 2^20 entries.
+# Desk-scale guardrails: |mu| and ball radii stay at most 2^32, digit-dominance
+# sets at most 2^20 entries.
 DEGREE_GUARD = 1 << 32
 GSET_GUARD = 1 << 20
-# Longest dense coefficient list built, checked by homopoly.dense_guard; the
-# degree guard alone would admit 32 GiB of references per list.  The costliest
+# Longest dense list built (polynomial coefficients, binomial rows, slice span
+# matrices), checked by homopoly.dense_guard before the list is.  The costliest
 # pair below it, the binomial basis for (0, 0, 2^22 - 1) over F_2, takes about
 # 3 s and 210 MB to build and certify (2-core VM); uses stay below |mu| = 10^4.
 DENSE_ROW_GUARD = 1 << 22
@@ -120,10 +118,9 @@ def g_set(m: int, p: int) -> list[int]:
         size *= c + 1
         if size > GSET_GUARD:
             raise GuardError(f"G_{m} would have more than {GSET_GUARD} elements")
-    members = []
-    for choice in product(*(range(c + 1) for c in ds)):
-        members.append(from_digits(choice, p))
-    members.sort()
+    members = [0]
+    for c in reversed(ds):  # most significant first, so members stay ascending
+        members = [g * p + t for g in members for t in range(c + 1)]
     return members
 
 

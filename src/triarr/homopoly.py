@@ -17,7 +17,7 @@ no derivative, which would lose information in characteristic p.
 
 from __future__ import annotations
 
-from .fpcore import DEGREE_GUARD, DENSE_ROW_GUARD, GuardError, binom_mod_p, digits
+from .fpcore import DENSE_ROW_GUARD, GuardError, binom_mod_p, digits
 
 
 def dense_guard(n: int, what: str) -> int:
@@ -45,16 +45,14 @@ class HomoPoly:
         self.p = p
         self.degree = len(cs) - 1 if cs else None
         self.coeffs = cs
-        if self.degree is not None and self.degree > DEGREE_GUARD:
-            raise GuardError(f"degree {self.degree} exceeds the desk-scale guard")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _canonical(cls, p: int, cs: tuple) -> "HomoPoly":
         """Wrap an already canonical coefficient tuple, skipping __init__'s
-        coercion, reduction and degree guard: () for zero, otherwise residues
-        in [0, p) with at least one nonzero entry (the top one may be 0)."""
+        coercion and reduction: () for zero, otherwise residues in [0, p)
+        with at least one nonzero entry (the top one may be 0)."""
         h = object.__new__(cls)
         h.p = p
         h.degree = len(cs) - 1 if cs else None
@@ -66,30 +64,12 @@ class HomoPoly:
         return cls(p, ())
 
     @classmethod
-    def constant(cls, p: int, c: int) -> "HomoPoly":
-        return cls(p, (c,))
-
-    @classmethod
     def monomial(cls, p: int, i: int, j: int, c: int = 1) -> "HomoPoly":
         """c * x^i * y^j."""
         if i < 0 or j < 0:
             raise ValueError("monomial exponents must be nonnegative")
         coeffs = [0] * dense_guard(i + j + 1, "a monomial")
         coeffs[i] = c
-        return cls(p, coeffs)
-
-    @classmethod
-    def from_terms(cls, p: int, terms) -> "HomoPoly":
-        """Sum of (i, j, c) monomial triples; all must share total degree."""
-        terms = list(terms)
-        if not terms:
-            return cls.zero(p)
-        d = terms[0][0] + terms[0][1]
-        coeffs = [0] * (d + 1)
-        for i, j, c in terms:
-            if i + j != d:
-                raise ValueError("terms of mixed total degree")
-            coeffs[i] = (coeffs[i] + c) % p
         return cls(p, coeffs)
 
     # -- basic structure ----------------------------------------------
@@ -197,7 +177,7 @@ class HomoPoly:
             raise ValueError(f"not divisible by y^{k}")
         return HomoPoly._canonical(self.p, self.coeffs[: len(self.coeffs) - k])
 
-    # -- divisibility and projective comparison ------------------------
+    # -- divisibility and Frobenius ------------------------------------
 
     def divisible_by_axis(self, axis: str, k: int) -> bool:
         """Whether x^k (axis 'x') or y^k (axis 'y') divides this polynomial."""
@@ -268,20 +248,6 @@ class HomoPoly:
         for i, a in enumerate(self.coeffs):
             out[q * i] = a
         return HomoPoly._canonical(self.p, tuple(out))
-
-    def projectively_equal(self, other: "HomoPoly") -> bool:
-        """Whether self = c * other for some nonzero scalar c."""
-        self._check_modulus(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.degree != other.degree:
-            return False
-        p = self.p
-        pivot = next(i for i, b in enumerate(other.coeffs) if b)
-        c = self.coeffs[pivot] * pow(other.coeffs[pivot], p - 2, p) % p
-        if c == 0:
-            return False
-        return all(a == c * b % p for a, b in zip(self.coeffs, other.coeffs))
 
     # -- rendering ------------------------------------------------------
 

@@ -31,8 +31,7 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
-from .fpcore import DENSE_ROW_GUARD, GuardError
-from .homopoly import HomoPoly, binomial_power, binomial_row
+from .homopoly import HomoPoly, binomial_power, binomial_row, dense_guard
 
 # perfbench/run.py --trace 1 sums this table for its Pascal-cache metric.  The
 # lattice engine keeps no such table, so it stays empty until that metric goes.
@@ -194,8 +193,8 @@ def degree_slice(mu, p: int, d: int) -> DegreeSlice:
     mu = basis_guard(as_multiplicity(mu))
     basis = lattice_basis(mu, p)
     shifts = [max(0, d - deg + 1) for deg in basis.degrees]
-    if sum(shifts) * (max(0, d - mu.mu1 + 1) + max(0, d - mu.mu2 + 1)) > DENSE_ROW_GUARD:
-        raise GuardError(f"the degree-{d} slice of {tuple(mu)} exceeds the dense-row guard")
+    dense_guard(sum(shifts) * (max(0, d - mu.mu1 + 1) + max(0, d - mu.mu2 + 1)),
+                f"the degree-{d} span matrix for {tuple(mu)}")
     spans = [_coords(row, mu, d, i) for row, n in zip(basis[:2], shifts) for i in range(n)]
     return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _echelon(spans, p)])
 

@@ -312,8 +312,10 @@ def run_suite(name: str, p: int, box=None, seed: int = DEFAULT_SEED) -> SuiteRes
 
 
 def run_suites(names: list[str], p: int, box=None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Run the named suites with shared p/box/seed settings; every name is
-    checked before any suite runs."""
+    """Run the named suites with shared p/box/seed settings; the names are
+    checked, and at least one is required, before any suite runs."""
+    if not names:
+        raise ValueError(f"no suite named; pick from {sorted(SUITES)}")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)}")

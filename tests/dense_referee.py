@@ -12,6 +12,7 @@ dependency only.
 from __future__ import annotations
 
 import numpy as np
+from full_product import saito_det
 
 from triarr.derivmod import (
     BasisPair,
@@ -19,7 +20,6 @@ from triarr.derivmod import (
     VectorField,
     as_multiplicity,
     saito_check,
-    saito_det,
 )
 from triarr.homopoly import HomoPoly
 

@@ -108,9 +108,13 @@ class TestBasis:
         p = obj["p"]
         fields = []
         for key in ("low", "high"):
-            f = HomoPoly.from_terms(p, [tuple(t) for t in obj[key]["dx"]])
-            g = HomoPoly.from_terms(p, [tuple(t) for t in obj[key]["dy"]])
-            fields.append(VectorField(f, g))
+            parts = []
+            for side in ("dx", "dy"):
+                coeffs = [0] * (obj[key]["degree"] + 1)
+                for i, _, c in obj[key][side]:
+                    coeffs[i] = c
+                parts.append(HomoPoly(p, coeffs))
+            fields.append(VectorField(*parts))
         assert saito_check(fields[0], fields[1], tuple(obj["mu"]))
         assert obj["exp"] == [58, 66]
 
@@ -397,3 +401,19 @@ class TestVerify:
             capsys, "verify", "-p", "3", "--suite", "golden", "--format", "json"
         )
         assert code == 2 and out == ""
+
+    def test_empty_suite_list_exits_2(self, capsys):
+        for suites in ("", ",", " , "):
+            code, out, err = run(capsys, "verify", "-p", "2", "--suite", suites)
+            assert code == 2 and out == "" and "no suite" in err, repr(suites)
+
+
+class TestOut:
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        for target, argv in (
+            (tmp_path / "missing" / "x.txt", ("exp", "-p", "2", "--mu", "1,1,1")),
+            (tmp_path, ("exp", "-p", "2", "--mu", "1,1,1", "--format", "json")),
+            (tmp_path / "missing" / "v.txt", ("verify", "-p", "2", "--suite", "golden")),
+        ):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert code == 2 and out == "" and "error" in err, (target, argv)

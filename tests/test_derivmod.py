@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from full_product import full_product_check, projectively_equal, saito_det
 from test_homopoly import refusal_peak_bytes
 
 from triarr import homopoly
@@ -15,21 +16,10 @@ from triarr.derivmod import (
     dist1,
     in_module,
     saito_check,
-    saito_det,
 )
 from triarr.fpcore import GuardError
 from triarr.homopoly import HomoPoly, binomial_power
 from triarr.oracle import degree_slice, oracle_exponents
-
-
-def full_product_check(t1, t2, mu):
-    """Saito's criterion evaluated in full: membership, then the determinant
-    f1 g2 - f2 g1 compared with x^m1 y^m2 (x+y)^m3 up to a nonzero scalar."""
-    return (
-        in_module(t1, mu)
-        and in_module(t2, mu)
-        and saito_det(t1, t2).projectively_equal(defining_poly(mu, t1.p))
-    )
 
 
 def recorded_certificates():
@@ -71,11 +61,11 @@ def euler_field(p):
 
 
 def dx(p):
-    return VectorField(HomoPoly.constant(p, 1), HomoPoly.zero(p))
+    return VectorField(HomoPoly(p, (1,)), HomoPoly.zero(p))
 
 
 def dy(p):
-    return VectorField(HomoPoly.zero(p), HomoPoly.constant(p, 1))
+    return VectorField(HomoPoly.zero(p), HomoPoly(p, (1,)))
 
 
 class TestMultiplicity:
@@ -99,7 +89,7 @@ class TestMultiplicity:
 class TestVectorField:
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
-            VectorField(HomoPoly.constant(3, 1), HomoPoly.monomial(3, 1, 0))
+            VectorField(HomoPoly(3, (1,)), HomoPoly.monomial(3, 1, 0))
 
     def test_zero_component_allowed(self):
         v = dy(5)
@@ -241,8 +231,8 @@ class TestSaito:
         p = 3
         mu = (1, 2, 0)
         q_dx = VectorField(defining_poly(mu, p), HomoPoly.zero(p))
-        bad = VectorField(HomoPoly.zero(p), HomoPoly.constant(p, 1))  # dy
-        assert saito_det(q_dx, bad).projectively_equal(defining_poly(mu, p))
+        bad = VectorField(HomoPoly.zero(p), HomoPoly(p, (1,)))  # dy
+        assert projectively_equal(saito_det(q_dx, bad), defining_poly(mu, p))
         assert not saito_check(q_dx, bad, mu)
 
 

@@ -266,11 +266,17 @@ class TestEnumerateCenters:
                     found.append(zeta)
             return sorted(found)
 
-        for bound in ((9, 9, 9), (30, 20, 25), (36, 36, 36)):
-            for p in (2, 3, 5):
-                for k in (0, 1, 2):
-                    got = enumerate_centers(p, k, bound).centers
-                    assert got == reference(p, k, bound), (bound, p, k)
+        cases = [
+            (bound, p, k)
+            for bound in ((9, 9, 9), (30, 20, 25), (36, 36, 36))
+            for p in (2, 3, 5, 7)
+            for k in (0, 1, 2)
+        ]
+        # radius p^3 with room for several centers and for larger balls
+        cases += [((70, 60, 64), p, 3) for p in (2, 3)]
+        for bound, p, k in cases:
+            got = enumerate_centers(p, k, bound).centers
+            assert got == reference(p, k, bound), (bound, p, k)
 
     def test_scaled_center_theorem(self):
         # (g, g', m) maximal with m = g + g' - p^s(g) is a center of radius

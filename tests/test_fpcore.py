@@ -117,8 +117,8 @@ class TestGSet:
         assert g_set(4, 3) == [0, 1, 3, 4]
 
     def test_lucas_characterization(self):
-        for p in (2, 3, 5):
-            for m in range(40):
+        for p in (2, 3, 5, 7, 11):
+            for m in range(150):
                 members = set(g_set(m, p))
                 for g in range(m + 1):
                     assert (g in members) == (binom_mod_p(m, g, p) != 0)

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 
 import pytest
+from full_product import projectively_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,10 +39,6 @@ class TestConstruction:
         h = HomoPoly.monomial(5, 2, 3, 4)
         assert h.degree == 5 and list(h.terms()) == [(2, 3, 4)]
 
-    def test_from_terms_mixed_degree_rejected(self):
-        with pytest.raises(ValueError):
-            HomoPoly.from_terms(3, [(1, 0, 1), (0, 0, 1)])
-
 
 def refusal_peak_bytes(build) -> int:
     """Traced peak of a call that must raise GuardError."""
@@ -57,8 +54,8 @@ def refusal_peak_bytes(build) -> int:
 # each builds a polynomial of k + 1 coefficients, k a power of 2
 DENSE_BUILDERS = {
     "monomial": lambda k: HomoPoly.monomial(2, k, 0),
-    "times_x_power": lambda k: HomoPoly.constant(2, 1).times_x_power(k),
-    "times_y_power": lambda k: HomoPoly.constant(2, 1).times_y_power(k),
+    "times_x_power": lambda k: HomoPoly(2, (1,)).times_x_power(k),
+    "times_y_power": lambda k: HomoPoly(2, (1,)).times_y_power(k),
     "frobenius_scale": lambda k: HomoPoly(2, [1, 1]).frobenius_scale(k),
 }
 
@@ -203,7 +200,7 @@ class TestBinomialPower:
     def test_agrees_with_repeated_multiplication(self):
         for p in PRIMES:
             s = HomoPoly(p, [1, 1])
-            acc = HomoPoly.constant(p, 1)
+            acc = HomoPoly(p, (1,))
             for m in range(12):
                 assert acc == binomial_power(m, p)
                 acc = acc * s
@@ -364,7 +361,7 @@ class TestFrobeniusScale:
         rng = random.Random(3)
         for p in (2, 3):
             h = random_poly(rng, p, 3)
-            power = HomoPoly.constant(p, 1)
+            power = HomoPoly(p, (1,))
             for _ in range(p):
                 power = power * h
             assert power == h.frobenius_scale(p)
@@ -374,17 +371,15 @@ class TestProjectiveEquality:
     def test_scalar_multiples(self):
         a = HomoPoly(5, [2, 2])
         b = HomoPoly(5, [1, 1])
-        assert a.projectively_equal(b) and b.projectively_equal(a)
+        assert projectively_equal(a, b) and projectively_equal(b, a)
 
     def test_distinct_monomials(self):
-        assert not HomoPoly.monomial(3, 1, 0).projectively_equal(
-            HomoPoly.monomial(3, 0, 1)
-        )
+        assert not projectively_equal(HomoPoly.monomial(3, 1, 0), HomoPoly.monomial(3, 0, 1))
 
     def test_zero_cases(self):
         z = HomoPoly.zero(3)
-        assert z.projectively_equal(HomoPoly(3, [0]))
-        assert not z.projectively_equal(HomoPoly(3, [1]))
+        assert projectively_equal(z, HomoPoly(3, [0]))
+        assert not projectively_equal(z, HomoPoly(3, [1]))
 
 
 class TestText:
@@ -392,5 +387,5 @@ class TestText:
         assert HomoPoly(3, [0, 0, 0, 1, 1]).to_text() == "x^4 + x^3*y"
         assert HomoPoly.monomial(5, 2, 3, 2).to_text() == "2*x^2*y^3"
         assert HomoPoly.zero(3).to_text() == "0"
-        assert HomoPoly.constant(3, 2).to_text() == "2"
+        assert HomoPoly(3, (2,)).to_text() == "2"
         assert HomoPoly(3, [1, 1]).to_text() == "x + y"

@@ -50,6 +50,12 @@ def test_passing_line(args, line):
     assert verify.run_suite(*args).line() == line
 
 
+def test_empty_suite_list_is_refused():
+    # an empty run would report "all suites passed" after checking nothing
+    with pytest.raises(ValueError, match="no suite"):
+        verify.run_suites([], 2)
+
+
 class TestTransportFailures:
     # one hop's image comes back uncertified: that hop alone fails, and
     # the text names mu and the hop parameter
