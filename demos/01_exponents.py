@@ -5,12 +5,12 @@ is always free on two homogeneous generators; everything below reports the
 pair of generator degrees (d1, d2) and their gap.
 """
 
-from triarr import fast_exponents, is_balanced, oracle_exponents
+from triarr import as_multiplicity, fast_exponents, oracle_exponents
 
 print("Unbalanced multiplicities are determined by their dominant line:")
 for mu in [(0, 0, 5), (1, 0, 4), (7, 2, 3)]:
     r = fast_exponents(mu, 3)
-    print(f"  mu={mu}: balanced={is_balanced(mu)}, gap={r.delta}, exp={r.exponents}")
+    print(f"  mu={mu}: balanced={as_multiplicity(mu).balanced}, gap={r.delta}, exp={r.exponents}")
 
 print()
 print("Balanced multiplicities depend on the characteristic:")

@@ -8,25 +8,19 @@ mod p.  The region is a lower set; its frontier is controlled by the base-p
 digits of m.
 """
 
-from triarr import (
-    b_set,
-    binom_mod_p,
-    g_set,
-    gamma_membership,
-    psi_basis,
-    s_set,
-)
+from triarr import binom_mod_p, g_set, gamma_membership, gamma_slice, psi_basis
 
 m, p = 16, 3
 print(f"binomial row for m={m} mod {p}:")
 print(" ", [binom_mod_p(m, j, p) for j in range(m + 1)])
 print(f"digit-dominated set G_{m} =", g_set(m, p))
+gs = gamma_slice(m, p)
 print()
 print("maximal members (the region's upper frontier):")
-for s in s_set(m, p):
+for s in gs.maximal_elements:
     print("  ", tuple(s))
 print("minimal non-members (all on the line m1 + m2 = m + 2, gap 0):")
-for b in b_set(m, p):
+for b in gs.minimal_complement:
     print("  ", tuple(b))
 
 print()

@@ -1,21 +1,21 @@
 """Moving certified bases around the lattice: Frobenius, shift, reflection.
 
-Three transports preserve the basis property, each re-certified here by the
-determinant criterion: the q-th power Frobenius (mu -> q mu), the shift by
-(p^d, p^d, 0) when m3 <= p^d, and the reflection through the cube of side
-p^d.  The planner composes their inverses to reach a binomial seed.
+transport moves a basis along three lattice symmetries that preserve the
+basis property, re-certifying each image by the determinant criterion: the
+q-th power Frobenius (mu -> q mu), the shift by (p^d, p^d, 0) when
+m3 <= p^d, and the reflection through the cube of side p^d.  The planner
+composes their inverses to reach a binomial seed.
 """
 
 from triarr import (
     BasisPair,
     HomoPoly,
+    TransformStep,
     VectorField,
-    dual_basis,
-    frobenius_lift,
-    period_shift,
     plan_basis,
     psi_basis,
     saito_check,
+    transport,
 )
 
 p = 5
@@ -25,20 +25,20 @@ theta2 = VectorField(HomoPoly.monomial(p, 5, 0), HomoPoly.monomial(p, 0, 5))
 print("  certified:", saito_check(theta, theta2, (3, 3, 4)))
 pair = BasisPair(theta, theta2, certified=True)
 
-shifted, target = period_shift(pair, (3, 3, 4), 1)
+shifted, target = transport(pair, (3, 3, 4), TransformStep("PeriodShift", 1))
 print(f"shift by (5,5,0) -> basis for {tuple(target)}:")
 print(f"  low:  {shifted.low.to_text()}")
 print(f"  high: {shifted.high.to_text()}")
 
-lifted, target = frobenius_lift(pair, (3, 3, 4), 5)
+lifted, target = transport(pair, (3, 3, 4), TransformStep("FrobeniusLift", 5))
 print(f"5th-power Frobenius -> basis for {tuple(target)}, exp={lifted.exponents}")
 
 print()
 print("Reflection through the side-9 cube is an involution up to sign:")
 pair = psi_basis((3, 3, 4), 3)
-dual, mu_dual = dual_basis(pair, (3, 3, 4), 2)
+dual, mu_dual = transport(pair, (3, 3, 4), TransformStep("Dual", 2))
 print(f"  (3,3,4) reflects to {tuple(mu_dual)}, exp={dual.exponents}")
-back, mu_back = dual_basis(dual, mu_dual, 2)
+back, mu_back = transport(dual, mu_dual, TransformStep("Dual", 2))
 print(f"  reflecting again returns {tuple(mu_back)}")
 
 print()

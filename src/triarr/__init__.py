@@ -12,17 +12,13 @@ from .basisfactory import (
     GammaSlice,
     NotInGammaError,
     TransformStep,
-    b_set,
-    dual_basis,
     dual_multiplicity,
-    frobenius_lift,
     gamma_membership,
     gamma_slice,
-    period_shift,
     plan_basis,
     psi_basis,
     psi_fields,
-    s_set,
+    transport,
 )
 from .derivmod import (
     BasisPair,
@@ -39,13 +35,9 @@ from .fastexp import (
     CenterSet,
     ExponentReport,
     ball_center,
-    compute_k,
-    decompose,
     delta_zero,
     enumerate_centers,
     fast_exponents,
-    is_balanced,
-    unbalanced_exponents,
 )
 from .fpcore import (
     GuardError,
@@ -53,7 +45,6 @@ from .fpcore import (
     binom_mod_p,
     digits,
     g_set,
-    s_index,
 )
 from .homopoly import HomoPoly, binomial_power
 from .oracle import DegreeSlice, degree_slice, oracle_delta, oracle_exponents, slice_dim
@@ -76,35 +67,26 @@ __all__ = [
     "TransformStep",
     "VectorField",
     "as_multiplicity",
-    "b_set",
     "ball_center",
     "binom_mod_p",
     "binomial_power",
-    "compute_k",
-    "decompose",
     "defining_poly",
     "degree_slice",
     "delta_zero",
     "digits",
-    "dual_basis",
     "dual_multiplicity",
     "enumerate_centers",
     "fast_exponents",
-    "frobenius_lift",
     "g_set",
     "gamma_membership",
     "gamma_slice",
     "in_module",
-    "is_balanced",
     "oracle_delta",
     "oracle_exponents",
-    "period_shift",
     "plan_basis",
     "psi_basis",
     "psi_fields",
-    "s_index",
-    "s_set",
     "saito_check",
     "slice_dim",
-    "unbalanced_exponents",
+    "transport",
 ]

@@ -207,7 +207,7 @@ def render_svg(grid: AtlasGrid) -> str:
     n1, n2 = spec.max_mu1 + 1, spec.max_mu2 + 1
     vmax = grid.vmax
     legend_h = 3 * CELL_PX
-    w, h = n2 * CELL_PX, n1 * CELL_PX + legend_h
+    w, h = max(n2, 22) * CELL_PX, n1 * CELL_PX + legend_h  # legend: 11 swatches of 2 cells
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',

@@ -10,15 +10,15 @@ psi always satisfies the x- and (x+y)-conditions and the pair's determinant
 is exactly x^m1 y^m2 (x+y)^m, so the pair is a basis precisely when y^m2
 divides the dy-part: equivalently C(m, j) = 0 mod p for every j strictly
 between m - m2 and m1.  The set of such mu at fixed third coordinate m is a
-lower set; its maximal elements (s_set) and the minimal elements of the
-complement (b_set) are read off the digit-dominance set G_m.
+lower set; gamma_slice reads its maximal elements and the minimal elements
+of the complement off the digit-dominance set G_m.
 
-Three certified transports move bases around the lattice: the q-th power
-Frobenius (mu -> q mu), the shift theta -> theta(x) x^(p^d) dx -
-theta(y) y^(p^d) dy (mu -> mu + (p^d, p^d, 0), guaranteed when m3 <= p^d),
+transport moves a certified basis along one of three lattice symmetries:
+the q-th power Frobenius (mu -> q mu), the shift theta -> theta(x) x^(p^d) dx
+- theta(y) y^(p^d) dy (mu -> mu + (p^d, p^d, 0), guaranteed when m3 <= p^d),
 and the reflection theta -> dual inside the cube of side p^d
 (mu -> (p^d - m1, p^d - m2, m3)).  plan_basis walks mu down by the first
-transport that applies until it can seed a binomial pair (or falls back to
+symmetry that applies until it can seed a binomial pair (or falls back to
 the lattice solver), moves the seed back up one map per run of equal hops,
 and certifies the pair it emits once, at mu.
 """
@@ -120,26 +120,13 @@ def psi_basis(mu, p: int) -> BasisPair:
     return _certified_pair(*psi_fields(mu, p), mu)
 
 
-def b_set(m: int, p: int) -> list[Multiplicity]:
-    """Minimal elements outside the binomial-basis region at level m.
-
-    These are (g+1, g'+1, m) for complementary pairs g + g' = m in the
-    digit-dominance set; each has m1 + m2 = m + 2 and exponent gap 0.
-    """
-    return gamma_slice(m, p).minimal_complement
-
-
-def s_set(m: int, p: int) -> list[Multiplicity]:
-    """Maximal elements of the binomial-basis region at level m."""
-    return gamma_slice(m, p).maximal_elements
-
-
 def gamma_slice(m: int, p: int) -> GammaSlice:
-    """S_m and B_m, both read off one G_m.
+    """S_m and B_m, the region's maximal members and minimal non-members at level m, from one G_m.
 
     With G_m = g_0 < ... < g_t (so g_i + g_(t-i) = m), the maximal elements
     are (g_i, g_(t-i+1), m) for 1 <= i <= t and the minimal complement is
-    (g_i + 1, g_(t-i) + 1, m) for 0 <= i <= t.
+    (g_i + 1, g_(t-i) + 1, m) for 0 <= i <= t; each of the latter has
+    m1 + m2 = m + 2 and exponent gap 0.
     """
     if m < 1:
         raise ValueError("gamma_slice requires m >= 1")
@@ -182,37 +169,21 @@ def _hop(fields, mu: Multiplicity, step: TransformStep, n: int = 1):
     return [move(t) for t in fields], target
 
 
-def frobenius_lift(pair: BasisPair, mu, q: int) -> tuple[BasisPair, Multiplicity]:
-    """Transport a basis for mu to one for q*mu via the q-th power Frobenius."""
+def transport(pair: BasisPair, mu, step: TransformStep) -> tuple[BasisPair, Multiplicity]:
+    """Transport a basis for mu along one lattice symmetry, certified at the image.
+
+    FrobeniusLift(q) maps mu to q*mu by the q-th power Frobenius, q a power
+    of p with q >= p.  PeriodShift(d) maps mu to mu + (p^d, p^d, 0); the
+    image is theorem-guaranteed when m3 <= p^d, and outside that range the
+    Saito certificate decides, raising CertificationError.  Dual(d) maps mu
+    inside the closed cube of side p^d to (p^d - m1, p^d - m2, m3); applied
+    twice it returns the original pair up to sign.  d >= 1 for both.
+    """
     p = pair.low.p
-    if q < p:  # frobenius_scale rejects every q that is not a power of p
-        raise ValueError(f"q must be a positive power of {p} with q >= {p}")
-    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("FrobeniusLift", q))
-    return _certified_pair(*fields, target), target
-
-
-def period_shift(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
-    """Transport a basis for mu to one for mu + (p^d, p^d, 0).
-
-    The image is theorem-guaranteed when m3 <= p^d; outside that range the
-    transform is still attempted and the Saito certificate decides, raising
-    CertificationError when the image is not a basis.
-    """
-    if d < 1:
-        raise ValueError("period_shift requires d >= 1")
-    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("PeriodShift", d))
-    return _certified_pair(*fields, target), target
-
-
-def dual_basis(pair: BasisPair, mu, d: int) -> tuple[BasisPair, Multiplicity]:
-    """Transport a basis for mu to one for (p^d - m1, p^d - m2, m3).
-
-    Requires mu inside the closed cube of side p^d.  Applying the map twice
-    returns the original pair up to sign.
-    """
-    if d < 1:
-        raise ValueError("dual_basis requires d >= 1")
-    fields, target = _hop(pair[:2], as_multiplicity(mu), TransformStep("Dual", d))
+    least = {"FrobeniusLift": p, "PeriodShift": 1, "Dual": 1}.get(step.kind)
+    if least is None or step.param < least:  # frobenius_scale rejects q not a power of p
+        raise ValueError(f"{step} is not a transport: FrobeniusLift needs q >= {p}, others d >= 1")
+    fields, target = _hop(pair[:2], as_multiplicity(mu), step)
     return _certified_pair(*fields, target), target
 
 

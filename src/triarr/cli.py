@@ -26,11 +26,16 @@ EXIT_USAGE = 2
 EXIT_STRATEGY = 3
 
 
-def _parse_mu(text: str) -> Multiplicity:
+def _parse_ints(text: str, n: int = 3) -> tuple[int, ...]:
+    """n comma-separated integers: --mu, --box (three) and --range (two)."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated values, got {text!r}")
-    return as_multiplicity(tuple(int(t) for t in parts))
+    if len(parts) != n:
+        raise ValueError(f"expected {('two', 'three')[n - 2]} comma-separated values, got {text!r}")
+    return tuple(int(t) for t in parts)
+
+
+def _parse_mu(text: str) -> Multiplicity:
+    return as_multiplicity(_parse_ints(text))
 
 
 def _field_json(field) -> dict:
@@ -192,7 +197,7 @@ def _cmd_table(args):
         if args.total is None:
             raise ValueError("mode sum requires --total")
         value = args.total
-    r1, r2 = (int(t) for t in args.range_.split(","))
+    r1, r2 = _parse_ints(args.range_, 2)
     spec = atlas.AtlasSpec(
         p=p,
         mode=args.mode,
@@ -213,8 +218,6 @@ def _cmd_table(args):
 
 def _cmd_centers(args):
     p = Prime(args.prime)
-    if args.k < 0:
-        raise ValueError("k must be nonnegative")
     cs = fastexp.enumerate_centers(p, args.k, _parse_mu(args.box))
     if args.format == "json":
         return {
@@ -231,8 +234,6 @@ def _cmd_centers(args):
 
 def _cmd_gamma(args):
     p = Prime(args.prime)
-    if args.m < 1:
-        raise ValueError("m must be positive")
     gs = basisfactory.gamma_slice(args.m, p)
     mu = member = None
     if args.mu is not None:

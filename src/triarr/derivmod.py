@@ -46,8 +46,9 @@ class Multiplicity(NamedTuple):
         return self.mu1 + self.mu2 + self.mu3
 
     @property
-    def max_part(self) -> int:
-        return max(self)
+    def balanced(self) -> bool:
+        """max(mu) <= |mu| / 2: no line outweighs the other two together."""
+        return 2 * max(self) <= self.total
 
     def scaled(self, c: int) -> "Multiplicity":
         return Multiplicity(c * self.mu1, c * self.mu2, c * self.mu3)

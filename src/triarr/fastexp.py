@@ -74,48 +74,20 @@ class CenterSet(NamedTuple):
         return self.p**self.k
 
 
-def is_balanced(mu) -> bool:
-    """max(mu) <= |mu| / 2."""
-    mu = as_multiplicity(mu)
-    return 2 * mu.max_part <= mu.total
-
-
-def unbalanced_exponents(mu, p: int) -> ExponentReport:
-    """Gap 2*max - |mu| with exponents (|mu| - max, max); rejects balanced mu."""
-    mu = as_multiplicity(mu)
-    if is_balanced(mu):
-        raise ValueError(f"{tuple(mu)} is balanced")
-    top = mu.max_part
-    return ExponentReport(
-        mu=mu,
-        p=p,
-        delta=2 * top - mu.total,
-        exponents=(mu.total - top, top),
-        tag="Unbalanced",
-    )
-
-
-def decompose(mu, p: int, k: int) -> tuple[Multiplicity, Multiplicity]:
-    """Componentwise Euclidean division mu = p^k * alpha + beta, 0 <= beta_i < p^k."""
-    mu = as_multiplicity(mu)
-    if k < 1:
-        raise ValueError("decompose requires k >= 1")
-    q = p**k
-    alpha = Multiplicity(*(c // q for c in mu))
-    beta = Multiplicity(*(c % q for c in mu))
-    return alpha, beta
-
-
 def ball_center(mu, p: int, k: int) -> BallHit | None:
     """Locate the radius-p^k ball around p^k*(odd-sum lattice) containing mu.
 
     Returns None when mu lies in no such ball.  The center is unique:
     distinct odd-sum points are >= 2 apart in the 1-norm, so the scaled
     open balls are disjoint.  Comparisons of halves are done as doubled
-    integers to keep everything exact.  decompose validates mu and k >= 1.
+    integers to keep everything exact.
     """
-    alpha, beta = decompose(mu, p, k)
+    mu = as_multiplicity(mu)
+    if k < 1:
+        raise ValueError("ball_center requires k >= 1")
     q = p**k
+    alpha = Multiplicity(*(c // q for c in mu))
+    beta = Multiplicity(*(c % q for c in mu))
     btot = beta.total
     if alpha.total % 2 == 0:
         for i in range(3):
@@ -149,7 +121,7 @@ def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
     while 2 * p**m <= mu.total:
         hit = ball_center(mu, p, m)
         if hit is not None:
-            if is_balanced(hit.center):
+            if hit.center.balanced:
                 k, best = m, hit
             else:
                 filter_stats["unbalanced_center_rejections"] += 1
@@ -157,21 +129,15 @@ def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
     return k, best
 
 
-def compute_k(mu, p: int) -> int:
-    """Largest scale m with 2 p^m <= |mu| whose ball (with balanced center)
-    contains mu; 0 when there is none.  Rejects unbalanced input."""
-    mu = as_multiplicity(mu)
-    if not is_balanced(mu):
-        raise ValueError(f"{tuple(mu)} is unbalanced")
-    return _walk(mu, p)[0]
-
-
 def fast_exponents(mu, p: int) -> ExponentReport:
     """Exponent gap and pair for any mu: the distance to the ball's center."""
     mu = as_multiplicity(mu)
-    if not is_balanced(mu):
-        return unbalanced_exponents(mu, p)
     total = mu.total
+    if not mu.balanced:  # the dominant line decides: gap 2 max - |mu|
+        top = max(mu)
+        return ExponentReport(
+            mu=mu, p=p, delta=2 * top - total, exponents=(total - top, top), tag="Unbalanced"
+        )
     k, hit = _walk(mu, p)
     if hit is None:
         if total % 2:
@@ -207,12 +173,12 @@ def delta_zero(mu, p: int) -> bool:
     ball at any scale m >= 1.
     """
     mu = as_multiplicity(mu)
-    if not is_balanced(mu) or mu.total % 2:
+    if not mu.balanced or mu.total % 2:
         return False
     m = 1
     while 2 * p**m <= mu.total:
         hit = ball_center(mu, p, m)
-        if hit is not None and is_balanced(hit.center):
+        if hit is not None and hit.center.balanced:
             return False
         m += 1
     return True
@@ -244,6 +210,6 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
         for n2 in range(box.mu2 // q + 1):
             for n3 in range(box.mu3 // q + 1):
                 nu = Multiplicity(n1, n2, n3)
-                if nu.total % 2 and is_balanced(nu) and compute_k(nu, p) == 0:
+                if nu.total % 2 and nu.balanced and _walk(nu, p)[0] == 0:
                     centers.append(nu.scaled(q))
     return CenterSet(p=p, k=k, box=box, centers=centers)

@@ -70,17 +70,6 @@ def from_digits(ds, p: int) -> int:
     return value
 
 
-def s_index(m: int, p: int) -> int:
-    """Index of the least nonzero base-p digit of m (m >= 1)."""
-    if m <= 0:
-        raise ValueError("s_index is undefined for m = 0")
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
-
-
 def binom_mod_p(m: int, j: int, p: int) -> int:
     """Binomial coefficient C(m, j) mod p via the Lucas digit product.
 

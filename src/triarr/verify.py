@@ -26,6 +26,7 @@ from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from . import basisfactory, fastexp, oracle
+from .basisfactory import TransformStep
 from .derivmod import Multiplicity, as_multiplicity, dist1, in_module, saito_check
 from .fpcore import binom_mod_p, g_set
 
@@ -101,12 +102,11 @@ def _adjacency(p: int, box, seed: int) -> Checks:
 
 
 class _Transport(NamedTuple):
-    """A basis transport checked hop by hop: the moved pair must certify at
-    the expected image, whose gap is `factor` times gap(mu)."""
+    """A lattice symmetry checked hop by hop: the pair basisfactory.transport
+    moves must certify at the expected image, whose gap is `factor` times gap(mu)."""
 
-    hops: Callable  # (p, box) -> (mu, param, expected image) in check order
-    move: str  # basisfactory transport, looked up per hop: (pair, mu, param) -> (pair, image)
-    param: str  # the hop parameter's name in failure texts
+    hops: Callable  # (p, box) -> (mu, step, expected image) in check order
+    param: str  # the step parameter's name in failure texts
     factor: Callable  # p -> gap(image) / gap(mu)
     gap: Callable  # (mu, p) -> gap, by the engine that reads the image
 
@@ -118,28 +118,30 @@ def _fast_gap(mu, p: int) -> int:
 _TRANSPORTS = {
     # gap(p*mu) = p * gap(mu)
     "frobenius": _Transport(
-        lambda p, box: ((mu, p, mu.scaled(p)) for mu in _box_points(box or (6, 6, 6))),
-        "frobenius_lift", "q", lambda p: p, _fast_gap,
+        lambda p, box: ((mu, TransformStep("FrobeniusLift", p), mu.scaled(p))
+                        for mu in _box_points(box or (6, 6, 6))),
+        "q", lambda p: p, _fast_gap,
     ),
     # gap(mu + (p^d, p^d, 0)) = gap(mu) whenever mu3 <= p^d
     "periodicity": _Transport(
         lambda p, box: (
-            (mu, d, Multiplicity(mu.mu1 + p**d, mu.mu2 + p**d, mu.mu3))
+            (mu, TransformStep("PeriodShift", d),
+             Multiplicity(mu.mu1 + p**d, mu.mu2 + p**d, mu.mu3))
             for mu in _box_points(box or (8, 8, 8))
             for d in (1, 2, 3)
             if mu.mu3 <= p**d
         ),
-        "period_shift", "d", lambda p: 1, _fast_gap,
+        "d", lambda p: 1, _fast_gap,
     ),
     # gap(mu-dual) = gap(mu) on the cube of side p^d, read by the oracle so
     # that the check stays lattice-only
     "duality": _Transport(
         lambda p, box: (
-            (mu, d, basisfactory.dual_multiplicity(mu, p, d))
+            (mu, TransformStep("Dual", d), basisfactory.dual_multiplicity(mu, p, d))
             for d in (1, 2)
             for mu in _box_points((p**d,) * 3)
         ),
-        "dual_basis", "d", lambda p: 1, lambda mu, p: oracle.oracle_delta(mu, p),
+        "d", lambda p: 1, lambda mu, p: oracle.oracle_delta(mu, p),
     ),
 }
 
@@ -147,16 +149,16 @@ _TRANSPORTS = {
 def _transport(row: _Transport, p: int, box, seed: int) -> Checks:
     """One check per hop; the oracle basis at mu is solved once per mu."""
     mu0 = None
-    for mu, param, image in row.hops(p, box):
+    for mu, step, image in row.hops(p, box):
         if mu != mu0:
             mu0, (d1, d2, pair) = mu, oracle.oracle_exponents(mu, p)
         try:
-            moved, got = getattr(basisfactory, row.move)(pair, mu, param)
+            moved, got = basisfactory.transport(pair, mu, step)
             ok = got == image and moved.certified
         except Exception:  # a transport that raises is a failed check
             ok = False
         ok = ok and row.gap(image, p) == row.factor(p) * (d2 - d1)
-        yield _unless(ok, f"mu={tuple(mu)}, {row.param}={param}")
+        yield _unless(ok, f"mu={tuple(mu)}, {row.param}={step.param}")
 
 
 # -- binomial-basis region ------------------------------------------------------
@@ -280,8 +282,9 @@ def _golden(p: int, box, seed: int) -> Checks:
     row = [1, 1, 0, 2, 2, 0, 1, 1, 0, 1, 1, 0, 2, 2, 0, 1, 1]
     ok = [binom_mod_p(16, j, 3) for j in range(17)] == row
     yield _unless(ok, "binomial row m=16, p=3")
-    yield _unless(len(basisfactory.b_set(16, 3)) == 12, "size of b_set(16, 3)")
-    yield _unless(len(basisfactory.s_set(16, 3)) == 11, "size of s_set(16, 3)")
+    gs = basisfactory.gamma_slice(16, 3)
+    yield _unless(len(gs.minimal_complement) == 12, "size of b_set(16, 3)")
+    yield _unless(len(gs.maximal_elements) == 11, "size of s_set(16, 3)")
     pair = basisfactory.psi_basis((3, 3, 4), 3)
     yield _unless(
         pair.low.to_text() == "(x^4 + x^3*y) dx + (x*y^3 + y^4) dy"
@@ -304,8 +307,12 @@ SUITES: dict[str, Callable[..., Checks]] = {
 
 def run_suite(name: str, p: int, box=None, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Run one suite: count its checks and failures, keep the first
-    counterexample.  The golden suite fixes its own primes, so it reports no p."""
+    counterexample.  The golden suite fixes its own primes, so it reports no p.
+    A suite that makes no check on its box raises ValueError rather than pass."""
     results = list(SUITES[name](p, box, seed))
+    if not results:
+        where = "its default box" if box is None else f"box {tuple(box)}"
+        raise ValueError(f"suite {name!r} made no check on {where}")
     failures = [r for r in results if r is not None]
     first = failures[0] if failures else None
     return SuiteResult(name, None if name == "golden" else p, len(results), len(failures), first)

@@ -13,14 +13,12 @@ from full_product import projectively_equal, saito_det
 from triarr import verify
 from triarr.atlas import AtlasSpec, build_atlas
 from triarr.basisfactory import (
-    b_set,
-    dual_basis,
-    frobenius_lift,
+    TransformStep,
     gamma_membership,
-    period_shift,
+    gamma_slice,
     plan_basis,
     psi_basis,
-    s_set,
+    transport,
 )
 from triarr.derivmod import (
     BasisPair,
@@ -77,8 +75,8 @@ class TestCriterion1Golden:
         )
         theta2 = VectorField(HomoPoly.monomial(p, 5, 0), HomoPoly.monomial(p, 0, 5))
         assert saito_check(theta, theta2, (3, 3, 4))
-        shifted, target = period_shift(
-            BasisPair(theta, theta2, certified=True), (3, 3, 4), 1
+        shifted, target = transport(
+            BasisPair(theta, theta2, certified=True), (3, 3, 4), TransformStep("PeriodShift", 1)
         )
         assert target == (8, 8, 4) and shifted.certified
         det = saito_det(shifted.low, shifted.high)
@@ -87,8 +85,9 @@ class TestCriterion1Golden:
 
     def test_1d_m16_p3_lists(self):
         assert g_set(16, 3) == [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16]
-        bs = {tuple(b) for b in b_set(16, 3)}
-        ss = {tuple(s) for s in s_set(16, 3)}
+        gs = gamma_slice(16, 3)
+        bs = {tuple(b) for b in gs.minimal_complement}
+        ss = {tuple(s) for s in gs.maximal_elements}
         assert len(bs) == 12 and bs == {
             (1, 17, 16), (2, 16, 16), (4, 14, 16), (5, 13, 16), (7, 11, 16),
             (8, 10, 16), (17, 1, 16), (16, 2, 16), (14, 4, 16), (13, 5, 16),
@@ -176,16 +175,14 @@ class TestCriterion4SaitoEverywhere:
                             psi = psi_basis(mu, p)
                             assert saito_check(psi.low, psi.high, mu)
                             checked += 1
-                        lifted, lifted_mu = frobenius_lift(pair, mu, p)
-                        assert saito_check(lifted.low, lifted.high, lifted_mu)
-                        checked += 1
+                        steps = [TransformStep("FrobeniusLift", p)]
                         if m3 <= p:
-                            shifted, shifted_mu = period_shift(pair, mu, 1)
-                            assert saito_check(shifted.low, shifted.high, shifted_mu)
-                            checked += 1
+                            steps.append(TransformStep("PeriodShift", 1))
                         if max(mu) <= p * p:
-                            dual, dual_mu = dual_basis(pair, mu, 2)
-                            assert saito_check(dual.low, dual.high, dual_mu)
+                            steps.append(TransformStep("Dual", 2))
+                        for step in steps:
+                            moved, image = transport(pair, mu, step)
+                            assert saito_check(moved.low, moved.high, image)
                             checked += 1
         report(f"4 every emitted basis certifies (all paths, {checked} bases): PASS")
 

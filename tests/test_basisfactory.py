@@ -2,23 +2,21 @@ import itertools
 import random
 
 import pytest
+from digit_helpers import s_index
 from full_product import projectively_equal, saito_det
 
 from triarr import basisfactory, oracle
 from triarr.basisfactory import (
     NotInGammaError,
+    TransformStep,
     _normalized,
-    b_set,
-    dual_basis,
     dual_multiplicity,
-    frobenius_lift,
     gamma_membership,
     gamma_slice,
-    period_shift,
     plan_basis,
     psi_basis,
     psi_fields,
-    s_set,
+    transport,
 )
 from triarr.derivmod import (
     BasisPair,
@@ -30,7 +28,7 @@ from triarr.derivmod import (
     saito_check,
 )
 from triarr.fastexp import fast_exponents
-from triarr.fpcore import GuardError, binom_mod_p, s_index
+from triarr.fpcore import GuardError, binom_mod_p
 from triarr.homopoly import HomoPoly
 from triarr.oracle import oracle_delta, oracle_exponents
 
@@ -78,17 +76,14 @@ def _reference_plan(mu, p):
             d += 1
         nu = dual_multiplicity(mu, p, d)
         if _scan_membership(nu, p):
-            seed = dual_basis(psi_basis(nu, p), nu, d)[0]
+            seed = transport(psi_basis(nu, p), nu, TransformStep("Dual", d))[0]
             pre_trace = [("Dual", d)]
             break
         _, _, seed = oracle_exponents(mu, p)
         break
     pair = seed
     for kind, param in reversed(steps):
-        if kind == "FrobeniusLift":
-            pair, mu = frobenius_lift(pair, mu, param)
-        else:
-            pair, mu = period_shift(pair, mu, param)
+        pair, mu = transport(pair, mu, TransformStep(kind, param))
     assert mu == original and saito_check(pair.low, pair.high, original)
     trace = pre_trace + list(reversed(steps))
     return _normalized(pair), [f"{kind}({param})" for kind, param in trace]
@@ -235,8 +230,8 @@ class TestSetsAtLevelM:
             (8, 10, 16), (17, 1, 16), (16, 2, 16), (14, 4, 16), (13, 5, 16),
             (11, 7, 16), (10, 8, 16),
         }
-        got = {tuple(b) for b in b_set(16, 3)}
-        assert got == expect and len(b_set(16, 3)) == 12
+        bs = gamma_slice(16, 3).minimal_complement
+        assert {tuple(b) for b in bs} == expect and len(bs) == 12
 
     def test_paper_s16(self):
         expect = {
@@ -244,18 +239,19 @@ class TestSetsAtLevelM:
             (9, 9, 16), (16, 1, 16), (15, 3, 16), (13, 4, 16), (12, 6, 16),
             (10, 7, 16),
         }
-        got = {tuple(s) for s in s_set(16, 3)}
-        assert got == expect and len(s_set(16, 3)) == 11
+        ss = gamma_slice(16, 3).maximal_elements
+        assert {tuple(s) for s in ss} == expect and len(ss) == 11
 
     def test_paper_m4(self):
-        assert {tuple(b) for b in b_set(4, 2)} == {(1, 5, 4), (5, 1, 4)}
-        assert [tuple(s) for s in s_set(4, 2)] == [(4, 4, 4)]
-        assert (3, 3, 4) in s_set(4, 3)
+        gs = gamma_slice(4, 2)
+        assert {tuple(b) for b in gs.minimal_complement} == {(1, 5, 4), (5, 1, 4)}
+        assert [tuple(s) for s in gs.maximal_elements] == [(4, 4, 4)]
+        assert (3, 3, 4) in gamma_slice(4, 3).maximal_elements
 
     def test_b_elements_sum_and_gap(self):
         for p in (2, 3, 5):
             for m in range(1, 16):
-                for mu in b_set(m, p):
+                for mu in gamma_slice(m, p).minimal_complement:
                     assert mu.mu1 + mu.mu2 == m + 2
                     assert not gamma_membership(mu, p)
                     assert oracle_delta(mu, p) == 0
@@ -263,7 +259,7 @@ class TestSetsAtLevelM:
     def test_b_is_exactly_gap0_on_its_line(self):
         for p in (2, 3):
             for m in range(1, 16):
-                bset = {tuple(b) for b in b_set(m, p)}
+                bset = {tuple(b) for b in gamma_slice(m, p).minimal_complement}
                 for m1 in range(m + 3):
                     mu = (m1, m + 2 - m1, m)
                     assert (tuple(mu) in bset) == (oracle_delta(mu, p) == 0)
@@ -271,7 +267,7 @@ class TestSetsAtLevelM:
     def test_s_maximality(self):
         for p in (2, 3):
             for m in range(1, 16):
-                for mu in s_set(m, p):
+                for mu in gamma_slice(m, p).maximal_elements:
                     assert gamma_membership(mu, p)
                     up1 = (mu.mu1 + 1, mu.mu2, m)
                     up2 = (mu.mu1, mu.mu2 + 1, m)
@@ -282,7 +278,7 @@ class TestSetsAtLevelM:
         # non-membership holds exactly above some minimal complement element
         for p in (2, 3):
             for m in range(1, 17):
-                bs = b_set(m, p)
+                bs = gamma_slice(m, p).minimal_complement
                 for m1 in range(m + 4):
                     for m2 in range(m + 4):
                         dominated = any(
@@ -302,7 +298,7 @@ class TestSetsAtLevelM:
 
         for p in (2, 3, 5):
             for m in range(1, 40):
-                for g, gp, _ in s_set(m, p):
+                for g, gp, _ in gamma_slice(m, p).maximal_elements:
                     if g == 0 or gp == 0:
                         continue
                     s = s_index(g, p)
@@ -317,7 +313,7 @@ class TestSetsAtLevelM:
         # maximal are exactly g + g' - v for v = 1 .. p^s(g)
         for p in (2, 3):
             for m in (4, 9, 16, 12):
-                for g, gp, _ in s_set(m, p):
+                for g, gp, _ in gamma_slice(m, p).maximal_elements:
                     if g == 0:
                         continue
                     s = s_index(g, p)
@@ -327,7 +323,7 @@ class TestSetsAtLevelM:
                     got = {
                         n
                         for n in range(lo, hi)
-                        if (g, gp, n) in {tuple(t) for t in s_set(n, p)}
+                        if (g, gp, n) in {tuple(t) for t in gamma_slice(n, p).maximal_elements}
                     }
                     assert got == {n for n in expect if n >= 1}
 
@@ -336,22 +332,22 @@ class TestFrobeniusLift:
     def test_euler_lift(self):
         for p in (2, 3, 5):
             pair = psi_basis((1, 1, 1), p)
-            lifted, target = frobenius_lift(pair, (1, 1, 1), p)
+            lifted, target = transport(pair, (1, 1, 1), TransformStep("FrobeniusLift", p))
             assert target == (p, p, p)
             assert lifted.certified
             assert lifted.low.f == HomoPoly.monomial(p, p, 0)
 
     def test_lift_via_composition(self):
         pair = psi_basis((1, 2, 2), 3)
-        once, mid = frobenius_lift(pair, (1, 2, 2), 3)
-        twice, far = frobenius_lift(once, mid, 3)
-        direct, far2 = frobenius_lift(pair, (1, 2, 2), 9)
+        once, mid = transport(pair, (1, 2, 2), TransformStep("FrobeniusLift", 3))
+        twice, far = transport(once, mid, TransformStep("FrobeniusLift", 3))
+        direct, far2 = transport(pair, (1, 2, 2), TransformStep("FrobeniusLift", 9))
         assert far == far2 == (9, 18, 18)
         assert twice.low == direct.low and twice.high == direct.high
 
     def test_lift_of_334_at_p5_hits_gap0(self):
         _, _, pair = oracle_exponents((3, 3, 4), 5)
-        lifted, target = frobenius_lift(pair, (3, 3, 4), 5)
+        lifted, target = transport(pair, (3, 3, 4), TransformStep("FrobeniusLift", 5))
         assert target == (15, 15, 20)
         assert lifted.certified
         assert oracle_delta((15, 15, 20), 5) == 0
@@ -359,9 +355,9 @@ class TestFrobeniusLift:
     def test_rejects_non_power(self):
         pair = psi_basis((1, 1, 1), 3)
         with pytest.raises(ValueError):
-            frobenius_lift(pair, (1, 1, 1), 6)
-        with pytest.raises(ValueError):
-            frobenius_lift(pair, (1, 1, 1), 1)
+            transport(pair, (1, 1, 1), TransformStep("FrobeniusLift", 6))
+        with pytest.raises(ValueError, match="not a transport"):
+            transport(pair, (1, 1, 1), TransformStep("FrobeniusLift", 1))
 
 
 class TestPeriodShift:
@@ -373,7 +369,7 @@ class TestPeriodShift:
         theta2 = VectorField(HomoPoly.monomial(p, 5, 0), HomoPoly.monomial(p, 0, 5))
         pair = BasisPair(theta, theta2, certified=True)
         assert saito_check(theta, theta2, (3, 3, 4))
-        shifted, target = period_shift(pair, (3, 3, 4), 1)
+        shifted, target = transport(pair, (3, 3, 4), TransformStep("PeriodShift", 1))
         assert target == (8, 8, 4)
         assert shifted.low.f.to_text() == "x^10 + 4*x^9*y + x^8*y^2"
         assert shifted.low.g.to_text() == "x^2*y^8 + 4*x*y^9"
@@ -382,7 +378,7 @@ class TestPeriodShift:
 
     def test_degree_bookkeeping(self):
         pair = psi_basis((2, 2, 3), 3)
-        shifted, target = period_shift(pair, (2, 2, 3), 1)
+        shifted, target = transport(pair, (2, 2, 3), TransformStep("PeriodShift", 1))
         assert target == (5, 5, 3)
         assert shifted.exponents == (pair.exponents[0] + 3, pair.exponents[1] + 3)
 
@@ -391,7 +387,13 @@ class TestPeriodShift:
         # shift with m3 > p^d can never be a basis
         pair = psi_basis((14, 25, 31), 3)
         with pytest.raises(CertificationError):
-            period_shift(pair, (14, 25, 31), 3)
+            transport(pair, (14, 25, 31), TransformStep("PeriodShift", 3))
+
+    def test_rejects_nonpositive_d_and_unknown_kinds(self):
+        pair = psi_basis((1, 1, 1), 3)
+        for step in (TransformStep("PeriodShift", 0), TransformStep("Swap", 1)):
+            with pytest.raises(ValueError, match="not a transport"):
+                transport(pair, (1, 1, 1), step)
 
 
 class TestDualBasis:
@@ -399,7 +401,7 @@ class TestDualBasis:
         # the dual of x^m1 y^m2 (dy - dx) is x^(p^d) dx + y^(p^d) dy
         p, d = 3, 2
         pair = psi_basis((3, 3, 4), p)
-        dual, target = dual_basis(pair, (3, 3, 4), d)
+        dual, target = transport(pair, (3, 3, 4), TransformStep("Dual", d))
         assert target == (6, 6, 4)
         fields = [dual.low, dual.high]
         expect = VectorField(HomoPoly.monomial(p, 9, 0), HomoPoly.monomial(p, 0, 9))
@@ -411,8 +413,8 @@ class TestDualBasis:
     def test_involution_up_to_sign(self):
         p, d = 3, 2
         _, _, pair = oracle_exponents((4, 2, 5), p)
-        dual, target = dual_basis(pair, (4, 2, 5), d)
-        back, source = dual_basis(dual, target, d)
+        dual, target = transport(pair, (4, 2, 5), TransformStep("Dual", d))
+        back, source = transport(dual, target, TransformStep("Dual", d))
         assert source == (4, 2, 5)
         for a, b in ((back.low, pair.low), (back.high, pair.high)):
             assert projectively_equal(a.f, b.f) and projectively_equal(a.g, b.g)
@@ -431,11 +433,11 @@ class TestDualBasis:
 
     def test_requires_cube(self):
         pair = psi_basis((1, 1, 1), 3)
-        with pytest.raises(ValueError):
-            dual_basis(pair, (1, 1, 1), 0)
+        with pytest.raises(ValueError, match="not a transport"):
+            transport(pair, (1, 1, 1), TransformStep("Dual", 0))
         _, _, big = oracle_exponents((4, 4, 4), 3)
-        with pytest.raises(ValueError):
-            dual_basis(big, (4, 4, 4), 1)
+        with pytest.raises(ValueError, match="not inside the cube"):
+            transport(big, (4, 4, 4), TransformStep("Dual", 1))
 
 
 class TestPlanBasis:

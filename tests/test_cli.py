@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 from triarr import atlas, basisfactory, cli, fastexp, fpcore, homopoly, verify
 
@@ -192,6 +193,30 @@ class TestTable:
         text = target.read_text()
         assert text.startswith("<svg") and "</svg>" in text
 
+    def test_svg_legend_inside_viewbox(self, capsys):
+        # the legend is 22 cells wide: a 9-column table still shows all of it
+        code, out, _ = run(
+            capsys, "table", "-p", "3", "--mode", "m3", "--m", "4",
+            "--range", "8,8", "--format", "svg",
+        )
+        root = ElementTree.fromstring(out)
+        _, _, w, h = (float(v) for v in root.get("viewBox").split())
+        assert code == 0 and (w, h) == (220, 120)
+        shapes = [e for e in root.iter() if e.tag.rsplit("}", 1)[-1] in ("rect", "text")]
+        assert len(shapes) > 81
+        for e in shapes:
+            x, y = float(e.get("x", 0)), float(e.get("y", 0))
+            right, bottom = x + float(e.get("width", 0)), y + float(e.get("height", 0))
+            assert 0 <= x <= right <= w and 0 <= y <= bottom <= h, e.attrib
+
+    def test_malformed_range_exits_2(self, capsys):
+        for bad in ("5", "5,5,5"):
+            code, out, err = run(
+                capsys, "table", "-p", "2", "--mode", "m3", "--m", "1", "--range", bad
+            )
+            assert code == 2 and out == ""
+            assert f"expected two comma-separated values, got '{bad}'" in err
+
     def test_guard_exits_2(self, capsys):
         code, _, err = run(
             capsys, "table", "-p", "2", "--mode", "m3", "--m", "1",
@@ -306,6 +331,10 @@ class TestCenters:
         assert run(capsys, "centers", "-p", "2", "-k", "1", "--box", "5,5,5")[0] == 0
         assert run(capsys, "centers", "-p", "2", "-k", "0", "--box", "2,2,3")[0] == 2
 
+    def test_negative_k_exits_2(self, capsys):
+        code, out, err = run(capsys, "centers", "-p", "3", "-k", "-1", "--box", "3,3,3")
+        assert code == 2 and out == "" and "k must be nonnegative" in err
+
     def test_radius_at_guard_is_empty(self, capsys):
         code, out, _ = run(capsys, "centers", "-p", "2", "-k", "32", "--box", "1,1,1")
         assert code == 0 and out == "centers of radius 4294967296 within (1, 1, 1):\n"
@@ -318,6 +347,10 @@ class TestGamma:
         obj = json.loads(out)
         assert obj["g_set"] == [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16]
         assert len(obj["b_set"]) == 12 and len(obj["s_set"]) == 11
+
+    def test_level_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "gamma", "-p", "3", "-m", "0")
+        assert code == 2 and out == "" and "gamma_slice requires m >= 1" in err
 
     def test_membership_flag(self, capsys):
         code, out, _ = run(capsys, "gamma", "-p", "3", "-m", "4", "--mu", "3,3,4")
@@ -406,6 +439,13 @@ class TestVerify:
         for suites in ("", ",", " , "):
             code, out, err = run(capsys, "verify", "-p", "2", "--suite", suites)
             assert code == 2 and out == "" and "no suite" in err, repr(suites)
+
+
+    def test_suite_with_no_check_exits_2(self, capsys):
+        # the centers suite has no radius to scan in a one-point box
+        code, out, err = run(capsys, "verify", "-p", "2", "--suite", "centers", "--box", "0,0,0")
+        assert code == 2 and out == ""
+        assert "suite 'centers' made no check on box (0, 0, 0)" in err
 
 
 class TestOut:

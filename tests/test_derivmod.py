@@ -72,7 +72,8 @@ class TestMultiplicity:
     def test_coercion_and_totals(self):
         mu = as_multiplicity((3, 3, 4))
         assert mu == Multiplicity(3, 3, 4)
-        assert mu.total == 10 and mu.max_part == 4
+        assert mu.total == 10 and max(mu) == 4 and mu.balanced
+        assert not as_multiplicity((0, 1, 2)).balanced
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

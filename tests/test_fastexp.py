@@ -1,18 +1,10 @@
 import pytest
+from digit_helpers import s_index
 
 from triarr import fastexp
-from triarr.derivmod import Multiplicity, dist1
-from triarr.fastexp import (
-    ball_center,
-    compute_k,
-    decompose,
-    delta_zero,
-    enumerate_centers,
-    fast_exponents,
-    is_balanced,
-    unbalanced_exponents,
-)
-from triarr.fpcore import s_index
+from triarr.basisfactory import gamma_slice
+from triarr.derivmod import Multiplicity, as_multiplicity, dist1
+from triarr.fastexp import ball_center, delta_zero, enumerate_centers, fast_exponents
 from triarr.oracle import oracle_delta, oracle_exponents
 
 
@@ -27,44 +19,51 @@ def box(bound):
 
 class TestBalanced:
     def test_examples(self):
-        assert is_balanced((3, 3, 4))
-        assert not is_balanced((0, 0, 1))
-        assert is_balanced((41, 52, 31))
-        assert is_balanced((0, 0, 0))
+        assert as_multiplicity((3, 3, 4)).balanced
+        assert not as_multiplicity((0, 0, 1)).balanced
+        assert as_multiplicity((41, 52, 31)).balanced
+        assert as_multiplicity((0, 0, 0)).balanced
 
 
 class TestUnbalanced:
     def test_pure_linear_power(self):
-        r = unbalanced_exponents((0, 0, 5), 2)
+        r = fast_exponents((0, 0, 5), 2)
         assert r.delta == 5 and r.exponents == (0, 5) and r.tag == "Unbalanced"
 
     def test_oracle_confirms_104(self):
-        r = unbalanced_exponents((1, 0, 4), 3)
-        assert r.delta == 3 and r.exponents == (1, 4)
+        r = fast_exponents((1, 0, 4), 3)
+        assert r.delta == 3 and r.exponents == (1, 4) and r.tag == "Unbalanced"
         assert oracle_exponents((1, 0, 4), 3)[:2] == (1, 4)
 
     def test_axis_square(self):
-        r = unbalanced_exponents((2, 0, 0), 7)
-        assert r.delta == 2 and r.exponents == (0, 2)
+        r = fast_exponents((2, 0, 0), 7)
+        assert r.delta == 2 and r.exponents == (0, 2) and r.tag == "Unbalanced"
 
     def test_rejects_balanced(self):
-        with pytest.raises(ValueError):
-            unbalanced_exponents((1, 1, 1), 3)
+        # a balanced mu never takes the dominant-line formula, even when
+        # 2 max(mu) - |mu| would have the right parity
+        assert fast_exponents((1, 1, 1), 3).tag == "K0Odd"
+        assert fast_exponents((2, 1, 1), 3).tag == "K0Even"
 
 
 class TestDecompose:
+    # the ball's alpha and beta: mu = p^k * alpha + beta, 0 <= beta_i < p^k
     def test_paper_eg31(self):
-        assert decompose((41, 52, 31), 3, 3) == ((1, 1, 1), (14, 25, 4))
+        hit = ball_center((41, 52, 31), 3, 3)
+        assert (hit.alpha, hit.beta) == ((1, 1, 1), (14, 25, 4))
 
     def test_zero(self):
-        assert decompose((0, 0, 0), 5, 2) == ((0, 0, 0), (0, 0, 0))
+        assert ball_center((0, 0, 0), 5, 2) is None
+        hit = ball_center((25, 25, 25), 5, 2)
+        assert (hit.alpha, hit.beta) == ((1, 1, 1), (0, 0, 0))
 
     def test_componentwise(self):
-        assert decompose((8, 8, 4), 5, 1) == ((1, 1, 0), (3, 3, 4))
+        hit = ball_center((9, 8, 4), 5, 1)
+        assert (hit.alpha, hit.beta) == ((1, 1, 0), (4, 3, 4))
 
     def test_requires_positive_k(self):
-        with pytest.raises(ValueError):
-            decompose((1, 1, 1), 3, 0)
+        with pytest.raises(ValueError, match="ball_center requires k >= 1"):
+            ball_center((1, 1, 1), 3, 0)
 
 
 class TestBallCenter:
@@ -106,22 +105,28 @@ class TestBallCenter:
 
 
 class TestComputeK:
+    # k is the largest scale whose ball, with balanced center, holds mu
     def test_paper_eg31(self):
-        assert compute_k((41, 52, 31), 3) == 3
+        assert fast_exponents((41, 52, 31), 3).k == 3
 
     def test_small_range_empty(self):
-        assert compute_k((1, 1, 1), 2) == 0
+        assert fast_exponents((1, 1, 1), 2).k == 0
 
     def test_334_p2(self):
         # the qualifying ball sits at scale 2: center (4,4,4) = 4*(1,1,1),
         # and the oracle agrees that gap((4,4,4)) = 4 while gap(mu) = 2
-        assert compute_k((3, 3, 4), 2) == 2
+        assert fast_exponents((3, 3, 4), 2).k == 2
         assert oracle_delta((4, 4, 4), 2) == 4
         assert oracle_delta((3, 3, 4), 2) == 2
 
-    def test_rejects_unbalanced(self):
-        with pytest.raises(ValueError):
-            compute_k((5, 0, 0), 3)
+    def test_rejects_unbalanced(self, monkeypatch):
+        # an unbalanced mu walks no scale: k = 0 without a ball search
+        def no_search(mu, p, k):
+            raise AssertionError("ball search on an unbalanced mu")
+
+        monkeypatch.setattr(fastexp, "ball_center", no_search)
+        r = fast_exponents((5, 0, 0), 3)
+        assert r.k == 0 and r.tag == "Unbalanced"
 
 
 class TestFastExponents:
@@ -163,7 +168,7 @@ class TestFastExponents:
                 if r.center is not None:
                     assert dist1(mu, r.center) < p**r.k
                     scaled = Multiplicity(*(c // p**r.k for c in r.center))
-                    assert scaled.total % 2 == 1 and is_balanced(scaled)
+                    assert scaled.total % 2 == 1 and scaled.balanced
                     assert all(c % p**r.k == 0 for c in r.center)
 
     def test_case_exclusivity(self):
@@ -225,7 +230,7 @@ class TestEnumerateCenters:
         cs = enumerate_centers(2, 0, (3, 3, 3))
         assert Multiplicity(1, 1, 1) in cs.centers
         for zeta in cs.centers:
-            assert zeta.total % 2 == 1 and is_balanced(zeta)
+            assert zeta.total % 2 == 1 and zeta.balanced
 
     def test_empty_box(self):
         assert enumerate_centers(3, 1, (1, 1, 1)).centers == []
@@ -252,14 +257,14 @@ class TestEnumerateCenters:
             found = []
             for nu in box(max(bound) // q):
                 zeta = nu.scaled(q)
-                if nu.total % 2 == 0 or not is_balanced(nu):
+                if nu.total % 2 == 0 or not nu.balanced:
                     continue
                 if any(z > b for z, b in zip(zeta, bound)):
                     continue
                 m = k + 1
                 while p**m <= zeta.total:
                     hit = ball_center(zeta, p, m)
-                    if hit is not None and is_balanced(hit.center):
+                    if hit is not None and hit.center.balanced:
                         break
                     m += 1
                 else:
@@ -281,10 +286,8 @@ class TestEnumerateCenters:
     def test_scaled_center_theorem(self):
         # (g, g', m) maximal with m = g + g' - p^s(g) is a center of radius
         # p^s(g); exercised through the digit machinery at p = 3, m = 16
-        from triarr.basisfactory import s_set
-
         for m, p in [(16, 3), (4, 2), (9, 3)]:
-            for kappa in s_set(m, p):
+            for kappa in gamma_slice(m, p).maximal_elements:
                 g, gp, _ = kappa
                 if g == 0 or g + gp - p ** s_index(g, p) != m:
                     continue

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from digit_helpers import s_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from triarr.fpcore import (
     g_set,
     is_prime,
     least_dominated,
-    s_index,
 )
 
 PRIMES = [2, 3, 5, 7]

@@ -2,8 +2,9 @@
 
 There is no linter among the test dependencies, so this reads each module
 with ``ast``: every name bound by an import must appear as a name in the
-module's code or in one of its quoted annotations.  ``__init__`` is skipped,
-since it imports names only to export them.
+module's code or in one of its quoted annotations.  ``__init__`` imports
+names only to export them, so it is checked the other way round: its
+``__all__`` lists exactly the names its relative imports bind.
 """
 
 import ast
@@ -57,3 +58,21 @@ def test_detector_reports_unused_and_keeps_used():
         "    return link(x)\n"
     )
     assert unused_imports(source) == ["os", "product"]
+
+
+def test_all_is_exactly_what_init_imports():
+    tree = ast.parse(Path(triarr.__file__).read_text())
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    assert len(exported) == len(set(exported)) and len(imported) == len(set(imported))
+    assert set(exported) == set(imported)
+    assert all(hasattr(triarr, name) for name in exported)

@@ -4,6 +4,7 @@ engine or transport made wrong on purpose."""
 import pytest
 
 from triarr import basisfactory, oracle, verify
+from triarr.basisfactory import TransformStep
 from triarr.cli import main
 
 
@@ -56,36 +57,46 @@ def test_empty_suite_list_is_refused():
         verify.run_suites([], 2)
 
 
+def test_suite_with_no_check_is_refused():
+    # a one-point box has no neighbour pair and no radius to scan
+    for name in ("adjacency", "centers"):
+        with pytest.raises(ValueError, match=rf"suite '{name}' made no check on box \(0, 0, 0\)"):
+            verify.run_suite(name, 2, (0, 0, 0))
+
+
 class TestTransportFailures:
     # one hop's image comes back uncertified: that hop alone fails, and
     # the text names mu and the hop parameter
     @pytest.mark.parametrize(
-        "name, p, move, hop, line",
+        "name, p, hop, line",
         [
-            (
-                "periodicity", 2, "period_shift", ((1, 0, 2), 2),
+            pytest.param(
+                "periodicity", 2, ((1, 0, 2), TransformStep("PeriodShift", 2)),
                 "periodicity (p=2): FAIL (81 checks, 1 failures, first: mu=(1, 0, 2), d=2)",
+                id="periodicity",
             ),
-            (
-                "frobenius", 3, "frobenius_lift", ((2, 0, 1), 3),
+            pytest.param(
+                "frobenius", 3, ((2, 0, 1), TransformStep("FrobeniusLift", 3)),
                 "frobenius (p=3): FAIL (27 checks, 1 failures, first: mu=(2, 0, 1), q=3)",
+                id="frobenius",
             ),
-            (
-                "duality", 2, "dual_basis", ((3, 1, 0), 2),
+            pytest.param(
+                "duality", 2, ((3, 1, 0), TransformStep("Dual", 2)),
                 "duality (p=2): FAIL (152 checks, 1 failures, first: mu=(3, 1, 0), d=2)",
+                id="duality",
             ),
         ],
     )
-    def test_one_uncertified_hop_is_one_failure(self, monkeypatch, name, p, move, hop, line):
-        real = getattr(basisfactory, move)
+    def test_one_uncertified_hop_is_one_failure(self, monkeypatch, name, p, hop, line):
+        real = basisfactory.transport
 
-        def patched(pair, mu, param):
-            moved, image = real(pair, mu, param)
-            if (tuple(mu), param) == hop:
+        def patched(pair, mu, step):
+            moved, image = real(pair, mu, step)
+            if (tuple(mu), step) == hop:
                 moved = moved._replace(certified=False)
             return moved, image
 
-        monkeypatch.setattr(basisfactory, move, patched)
+        monkeypatch.setattr(basisfactory, "transport", patched)
         assert verify.run_suite(name, p, (2, 2, 2)).line() == line
 
 
