@@ -47,7 +47,7 @@ from .fpcore import (
     g_set,
 )
 from .homopoly import HomoPoly, binomial_power
-from .oracle import DegreeSlice, degree_slice, oracle_delta, oracle_exponents, slice_dim
+from .oracle import oracle_delta, oracle_exponents, slice_dim
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "BasisPair",
     "CenterSet",
     "CertificationError",
-    "DegreeSlice",
     "ExponentReport",
     "GammaSlice",
     "GuardError",
@@ -71,7 +70,6 @@ __all__ = [
     "binom_mod_p",
     "binomial_power",
     "defining_poly",
-    "degree_slice",
     "delta_zero",
     "digits",
     "dual_multiplicity",

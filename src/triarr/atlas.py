@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .derivmod import as_multiplicity
-from .fpcore import GuardError
+from .fpcore import GuardError, Prime
 
 GRID_GUARD = 10**6
 
@@ -53,6 +53,7 @@ class AtlasSpec(_SpecFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        Prime(self.p)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.cell not in CELLS:

@@ -37,7 +37,7 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
-from .fpcore import g_set, least_dominated
+from .fpcore import Prime, g_set, least_dominated
 from .homopoly import HomoPoly, binomial_row
 from .oracle import oracle_exponents
 
@@ -72,14 +72,14 @@ def gamma_membership(mu, p: int) -> bool:
     Holds iff C(m, j) = 0 mod p for all integers m - m2 < j < m1, i.e. iff
     the least j > m - m2 with C(m, j) nonzero is at least m1 or absent.
     """
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     j = least_dominated(mu.mu3, mu.mu3 - mu.mu2 + 1, p)
     return j is None or j >= mu.mu1
 
 
 def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
     """The binomial pair (psi, psi_alt) for mu, without certification."""
-    mu = basis_guard(as_multiplicity(mu))
+    mu, p = basis_guard(as_multiplicity(mu)), Prime(p)
     m = mu.mu3
     row = binomial_row(m, p, m + 1)
     k = min(mu.mu1, m + 1)  # terms x^j y^(m-j) with j < m1 go to dy
@@ -114,7 +114,7 @@ def psi_basis(mu, p: int) -> BasisPair:
     The pair is sorted by degree, so the low element is psi_alt whenever
     m1 + m2 < m.  Raises NotInGammaError outside the validity region.
     """
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     if not gamma_membership(mu, p):
         raise NotInGammaError(f"binomial pair is not a basis at {tuple(mu)}")
     return _certified_pair(*psi_fields(mu, p), mu)
@@ -189,7 +189,7 @@ def transport(pair: BasisPair, mu, step: TransformStep) -> tuple[BasisPair, Mult
 
 def dual_multiplicity(mu, p: int, d: int) -> Multiplicity:
     """(p^d - m1, p^d - m2, m3); requires mu inside the cube of side p^d."""
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     e = p**d
     if max(mu) > e:
         raise ValueError(f"{tuple(mu)} is not inside the cube of side {e}")
@@ -243,7 +243,7 @@ def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
     (a bug by construction), the lattice solver answers with an empty
     trace.  A basis beyond the dense-row guard raises GuardError up front.
     """
-    mu = basis_guard(as_multiplicity(mu))
+    mu, p = basis_guard(as_multiplicity(mu)), Prime(p)
     seed, binomial, trace = _walk(mu, p)
     if binomial or trace:  # else the solver's pair at mu is already certified
         fields = psi_fields(seed, p) if binomial else oracle_exponents(seed, p)[2][:2]

@@ -163,18 +163,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each handler returns the output: a string as is, anything else as JSON.
-# Only verify also returns an exit code.
+# Only verify also returns an exit code.  main has made args.prime a Prime.
 
 
 def _cmd_exp(args):
-    p = Prime(args.prime)
-    report = fastexp.fast_exponents(_parse_mu(args.mu), p)
+    report = fastexp.fast_exponents(_parse_mu(args.mu), args.prime)
     return _report_json(report) if args.format == "json" else _report_text(report)
 
 
 def _cmd_basis(args):
-    p = Prime(args.prime)
-    mu = _parse_mu(args.mu)
+    p, mu = args.prime, _parse_mu(args.mu)
     trace = []
     if args.strategy == "plan":
         pair, trace = basisfactory.plan_basis(mu, p)
@@ -188,18 +186,12 @@ def _cmd_basis(args):
 
 
 def _cmd_table(args):
-    p = Prime(args.prime)
-    if args.mode == "m3":
-        if args.m is None:
-            raise ValueError("mode m3 requires --m")
-        value = args.m
-    else:
-        if args.total is None:
-            raise ValueError("mode sum requires --total")
-        value = args.total
+    flag, value = ("--m", args.m) if args.mode == "m3" else ("--total", args.total)
+    if value is None:
+        raise ValueError(f"mode {args.mode} requires {flag}")
     r1, r2 = _parse_ints(args.range_, 2)
     spec = atlas.AtlasSpec(
-        p=p,
+        p=args.prime,
         mode=args.mode,
         value=value,
         max_mu1=r1,
@@ -217,11 +209,10 @@ def _cmd_table(args):
 
 
 def _cmd_centers(args):
-    p = Prime(args.prime)
-    cs = fastexp.enumerate_centers(p, args.k, _parse_mu(args.box))
+    cs = fastexp.enumerate_centers(args.prime, args.k, _parse_mu(args.box))
     if args.format == "json":
         return {
-            "p": int(p),
+            "p": int(args.prime),
             "k": cs.k,
             "radius": cs.radius,
             "box": list(cs.box),
@@ -233,15 +224,14 @@ def _cmd_centers(args):
 
 
 def _cmd_gamma(args):
-    p = Prime(args.prime)
-    gs = basisfactory.gamma_slice(args.m, p)
+    gs = basisfactory.gamma_slice(args.m, args.prime)
     mu = member = None
     if args.mu is not None:
         mu = _parse_mu(args.mu)
-        member = basisfactory.gamma_membership(mu, p)
+        member = basisfactory.gamma_membership(mu, args.prime)
     if args.format == "json":
         obj = {
-            "p": int(p),
+            "p": int(args.prime),
             "m": args.m,
             "g_set": gs.g_set,
             "s_set": gs.maximal_elements,  # triples encode as JSON arrays
@@ -265,11 +255,10 @@ def _cmd_gamma(args):
 def _cmd_verify(args):
     from . import verify  # only this command loads the suites
 
-    p = Prime(args.prime)
     names = [t.strip() for t in args.suite.split(",") if t.strip()]
     box = _parse_mu(args.box) if args.box else None
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    results = verify.run_suites(names, p, box=box, seed=seed)
+    results = verify.run_suites(names, args.prime, box=box, seed=seed)
     lines = [r.line() for r in results]
     ok = all(r.passed for r in results)
     lines.append("all suites passed" if ok else "FAILURES detected")
@@ -282,6 +271,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
+        args.prime = Prime(args.prime)  # every subcommand takes -p
         result = args.run(args)
     except NotInGammaError as exc:
         print(f"error: {exc}", file=sys.stderr)

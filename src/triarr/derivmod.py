@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fpcore import DEGREE_GUARD, GuardError
+from .fpcore import DEGREE_GUARD, GuardError, Prime
 from .homopoly import HomoPoly, binomial_power, dense_guard
 
 
@@ -178,7 +178,7 @@ class BasisPair(_PairFields):
 
 def defining_poly(mu, p: int) -> HomoPoly:
     """x^m1 y^m2 (x+y)^m3 over F_p."""
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     coeffs = [0] * dense_guard(mu.total + 1, "a defining polynomial")
     row = binomial_power(mu.mu3, p)  # never zero: leading coefficient is 1
     for j, c in enumerate(row.coeffs):

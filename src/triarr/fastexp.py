@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .derivmod import Multiplicity, as_multiplicity, dist1
-from .fpcore import DEGREE_GUARD, GuardError
+from .fpcore import DEGREE_GUARD, GuardError, Prime
 
 # Open-question instrumentation: counts scales where a lattice ball exists
 # but its center is unbalanced (and the scale was therefore rejected).
@@ -82,7 +82,7 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
     open balls are disjoint.  Comparisons of halves are done as doubled
     integers to keep everything exact.
     """
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     if k < 1:
         raise ValueError("ball_center requires k >= 1")
     q = p**k
@@ -131,7 +131,7 @@ def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
 
 def fast_exponents(mu, p: int) -> ExponentReport:
     """Exponent gap and pair for any mu: the distance to the ball's center."""
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     total = mu.total
     if not mu.balanced:  # the dominant line decides: gap 2 max - |mu|
         top = max(mu)
@@ -172,7 +172,7 @@ def delta_zero(mu, p: int) -> bool:
     Independent cross-check route: balanced, even total, and no qualifying
     ball at any scale m >= 1.
     """
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     if not mu.balanced or mu.total % 2:
         return False
     m = 1
@@ -198,10 +198,10 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    box, p = as_multiplicity(box), Prime(p)
     # p >= 2, so k > 32 already exceeds the guard; no box admits such a ball
     if k > 32 or p**k > DEGREE_GUARD:
         raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
-    box = as_multiplicity(box)
     q = p**k
     if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
         raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")

@@ -12,10 +12,10 @@ from __future__ import annotations
 # sets at most 2^20 entries.
 DEGREE_GUARD = 1 << 32
 GSET_GUARD = 1 << 20
-# Longest dense list built (polynomial coefficients, binomial rows, slice span
-# matrices), checked by homopoly.dense_guard before the list is.  The costliest
-# pair below it, the binomial basis for (0, 0, 2^22 - 1) over F_2, takes about
-# 3 s and 210 MB to build and certify (2-core VM); uses stay below |mu| = 10^4.
+# Longest dense list built (polynomial coefficients, binomial rows), checked
+# by homopoly.dense_guard before the list is.  The costliest pair below it,
+# the binomial basis for (0, 0, 2^22 - 1) over F_2, takes about 3 s and
+# 210 MB to build and certify (2-core VM); uses stay below |mu| = 10^4.
 DENSE_ROW_GUARD = 1 << 22
 
 
@@ -40,9 +40,13 @@ def is_prime(n: int) -> bool:
 
 
 class Prime(int):
-    """A validated prime modulus; behaves exactly like the underlying int."""
+    """A validated prime modulus; behaves exactly like the underlying int.
+    Public functions that take p validate it here; a Prime is returned as
+    it is, so nested calls repeat no trial division."""
 
     def __new__(cls, p) -> "Prime":
+        if isinstance(p, Prime):
+            return p
         p = int(p)
         if p >= 1 << 31:
             raise GuardError(f"modulus {p} exceeds the supported 31-bit range")
@@ -55,6 +59,7 @@ def digits(m: int, p: int) -> list[int]:
     """Base-p digit vector of m, least significant first, trailing zeros trimmed."""
     if m < 0:
         raise ValueError("digits requires m >= 0")
+    p = Prime(p)
     out = []
     while m:
         m, r = divmod(m, p)
@@ -64,6 +69,7 @@ def digits(m: int, p: int) -> list[int]:
 
 def from_digits(ds, p: int) -> int:
     """Inverse of :func:`digits`."""
+    p = Prime(p)
     value = 0
     for d in reversed(list(ds)):
         value = value * p + d
@@ -76,6 +82,7 @@ def binom_mod_p(m: int, j: int, p: int) -> int:
     Returns the canonical residue in range(p) as a plain int.  Follows the
     usual convention C(a, b) = 0 for b < 0 or b > a.
     """
+    p = Prime(p)
     if j < 0 or j > m:
         return 0
     acc = 1
@@ -120,6 +127,7 @@ def least_dominated(m: int, lo: int, p: int) -> int | None:
     Keeps lo's digits above the highest digit that exceeds m's, raises the
     lowest of those that has room and clears everything below it.
     """
+    p = Prime(p)
     lo = max(lo, 0)
     if lo > m:
         return None

@@ -17,7 +17,7 @@ no derivative, which would lose information in characteristic p.
 
 from __future__ import annotations
 
-from .fpcore import DENSE_ROW_GUARD, GuardError, binom_mod_p, digits
+from .fpcore import DENSE_ROW_GUARD, GuardError, Prime, binom_mod_p, digits
 
 
 def dense_guard(n: int, what: str) -> int:
@@ -302,6 +302,7 @@ def binomial_row(m: int, p: int, n: int) -> list[int]:
     if m < 0:
         raise ValueError("binomial_row requires m >= 0")
     dense_guard(n, "a binomial row")
+    p = Prime(p)
     ds = digits(m, p)
     row = [1]
     for i in reversed(range(len(ds))):

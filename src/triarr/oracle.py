@@ -5,10 +5,14 @@ With u = x/y, a degree-d field f dx + g dy (x^m1 | f, y^m2 | g) is the pair
 degree max(deg F + m1, deg G + m2) <= d.  Mulders-Storjohann (J. Symbolic
 Comput. 35, 2003) brings the generators (1, -(u^m1 mod (u + 1)^m3)) and
 (0, (u + 1)^m3) to weak Popov form; the rows' shifted degrees d1 <= d2 are the
-exponents, and the rows' shifts span every slice.  Slice coordinates are F's
-coefficients, then G's; emitted bases are reduced echelon read from the last
-column.  Saito's criterion certifies every pair.  No ball geometry is used,
-so the solver stays an independent referee for fastexp.
+exponents.  The basis has one read-out.  As a degree-d slice vector (F's
+coefficients, then G's) the low row, normalized at its last coordinate, is
+the d1 field; the high row at d2, cleared at the last coordinates of the low
+row's shifts and normalized, is the d2 field.  At equal degrees the row led
+by F is the low one, since its last coordinate is the smaller, so the pair is
+still the d1-slice's reduced echelon basis read from the last column.
+Saito's criterion certifies every pair.  No ball geometry is used, so the
+solver stays an independent referee for fastexp.
 
 The generator needs no division.  For m1 < m3 the remainder is u^m1; else,
 with s = m1 - m3 and t = m3 - 1 - j, its u^j coefficient (j < m3) is
@@ -31,7 +35,8 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
-from .homopoly import HomoPoly, binomial_power, binomial_row, dense_guard
+from .fpcore import Prime
+from .homopoly import HomoPoly, binomial_power, binomial_row
 
 # perfbench/run.py --trace 1 sums this table for its Pascal-cache metric.  The
 # lattice engine keeps no such table, so it stays empty until that metric goes.
@@ -71,7 +76,8 @@ def _leading(row, mu: Multiplicity) -> tuple[int, int]:
 
 
 class LatticeBasis(NamedTuple):
-    """Weak Popov rows (low, high) of shifted degrees d1 <= d2."""
+    """Weak Popov rows (low, high) of shifted degrees d1 <= d2; at d1 = d2
+    the row led by F, the left position, is low."""
 
     low: tuple[list[int], list[int]]
     high: tuple[list[int], list[int]]
@@ -81,7 +87,7 @@ class LatticeBasis(NamedTuple):
 
 def lattice_basis(mu, p: int) -> LatticeBasis:
     """Mulders-Storjohann reduction of the generators to weak Popov form."""
-    mu = as_multiplicity(mu)
+    mu, p = as_multiplicity(mu), Prime(p)
     rows = _generators(mu, p)
     steps = 0
     while True:
@@ -97,55 +103,32 @@ def lattice_basis(mu, p: int) -> LatticeBasis:
             a[t:end] = [(x - c * y) % p for x, y in zip(a[t:end], b)]
             _trim(a)
         steps += 1
-    if s0 > s1:
+    if (s0, j0) > (s1, j1):
         rows.reverse()
         s0, s1 = s1, s0
     return LatticeBasis(rows[0], rows[1], (s0, s1), steps)
 
 
-# -- canonical slice bases ------------------------------------------------------
+# -- the basis read-out ---------------------------------------------------------
 
 
-def _coords(row, mu: Multiplicity, d: int, shift: int = 0) -> list[int]:
-    """u^shift * row as a degree-d slice vector: F's coefficients, then G's."""
+def _coords(row, mu: Multiplicity, d: int) -> list[int]:
+    """The row as a degree-d slice vector: F's coefficients, then G's."""
     sizes = (max(0, d - mu.mu1 + 1), max(0, d - mu.mu2 + 1))
-    return [c for part, n in zip(row, sizes) for c in ([0] * shift + part + [0] * n)[:n]]
-
-
-def _last(vec: list[int]) -> int:
-    """Index of the last nonzero coordinate (-1 for the zero vector)."""
-    return max((i for i, a in enumerate(vec) if a), default=-1)
+    return [c for part, n in zip(row, sizes) for c in (part + [0] * n)[:n]]
 
 
 def _normalized(vec: list[int], p: int) -> list[int]:
-    inv = pow(vec[_last(vec)], p - 2, p)
+    """vec scaled so that its last nonzero coordinate is 1."""
+    inv = pow(next(a for a in reversed(vec) if a), p - 2, p)
     return [a * inv % p for a in vec]
-
-
-def _minus(v: list[int], c: int, w: list[int], p: int) -> list[int]:
-    """v - c * w."""
-    return [(a - c * b) % p for a, b in zip(v, w)] if c else v
-
-
-def _echelon(vecs: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced echelon basis of the span, read from the last column,
-    in ascending order of each vector's last nonzero coordinate."""
-    pivots: dict[int, list[int]] = {}  # last coordinate -> vector, mutually reduced
-    for v in vecs:
-        for t, w in pivots.items():
-            v = _minus(v, v[t], w, p)
-        t = _last(v)
-        if t >= 0:
-            v = _normalized(v, p)
-            pivots = {s: _minus(w, w[t], v, p) for s, w in pivots.items()}
-            pivots[t] = v
-    return [pivots[t] for t in sorted(pivots)]
 
 
 def _reduced_high(basis: LatticeBasis, mu: Multiplicity, p: int) -> list[int]:
     """The high row at degree d2, cleared at the last coordinates of the
     low row's shifts x^i y^(d2-d1-i) * low from the top down, normalized:
-    the d2-slice's one canonical basis field that is not a multiple of low."""
+    the d2-slice's one canonical basis field that is not a multiple of low.
+    The low row's last coordinate is the smaller one, also at d1 = d2."""
     d1, d2 = basis.degrees
     h = _coords(basis.high, mu, d2)
     support = [(k, a) for k, a in enumerate(_coords(basis.low, mu, d2)) if a]
@@ -169,34 +152,10 @@ def _vector_field(mu: Multiplicity, p: int, d: int, vec: list[int]) -> VectorFie
 # -- public solver -----------------------------------------------------------
 
 
-class DegreeSlice(NamedTuple):
-    """F_p-basis of the degree-d graded piece of the logarithmic module."""
-
-    degree: int
-    basis: list[VectorField]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def slice_dim(mu, p: int, d: int) -> int:
     """Dimension of the degree-d graded piece."""
     d1, d2 = lattice_basis(mu, p).degrees
     return max(0, d - d1 + 1) + max(0, d - d2 + 1)
-
-
-def degree_slice(mu, p: int, d: int) -> DegreeSlice:
-    """Canonical basis of the degree-d graded piece, by last coordinate.  Its
-    span matrix, one row per shift of a lattice row and one column per slice
-    coordinate, is refused beyond DENSE_ROW_GUARD entries before it is built."""
-    mu = basis_guard(as_multiplicity(mu))
-    basis = lattice_basis(mu, p)
-    shifts = [max(0, d - deg + 1) for deg in basis.degrees]
-    dense_guard(sum(shifts) * (max(0, d - mu.mu1 + 1) + max(0, d - mu.mu2 + 1)),
-                f"the degree-{d} span matrix for {tuple(mu)}")
-    spans = [_coords(row, mu, d, i) for row, n in zip(basis[:2], shifts) for i in range(n)]
-    return DegreeSlice(d, [_vector_field(mu, p, d, v) for v in _echelon(spans, p)])
 
 
 def oracle_delta(mu, p: int) -> int:
@@ -209,15 +168,11 @@ def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
     """Exponents (d1, d2) and a Saito-certified canonical basis: the
     d1-slice's first canonical field, and the first field of the d2-slice's
     canonical basis that is not a multiple of it."""
-    mu = basis_guard(as_multiplicity(mu))
+    mu, p = basis_guard(as_multiplicity(mu)), Prime(p)
     basis = lattice_basis(mu, p)
     d1, d2 = basis.degrees
-    if d1 == d2:
-        low, high = _echelon([_coords(basis.low, mu, d1), _coords(basis.high, mu, d2)], p)
-    else:
-        low = _normalized(_coords(basis.low, mu, d1), p)
-        high = _reduced_high(basis, mu, p)
-    low, high = _vector_field(mu, p, d1, low), _vector_field(mu, p, d2, high)
+    low = _vector_field(mu, p, d1, _normalized(_coords(basis.low, mu, d1), p))
+    high = _vector_field(mu, p, d2, _reduced_high(basis, mu, p))
     if not saito_check(low, high, mu):
         raise CertificationError(f"failed to certify a basis for {tuple(mu)}")
     return d1, d2, BasisPair(low, high, certified=True)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 from . import basisfactory, fastexp, oracle
 from .basisfactory import TransformStep
 from .derivmod import Multiplicity, as_multiplicity, dist1, in_module, saito_check
-from .fpcore import binom_mod_p, g_set
+from .fpcore import Prime, binom_mod_p, g_set
 
 DEFAULT_SEED = 20250810
 
@@ -309,7 +309,7 @@ def run_suite(name: str, p: int, box=None, seed: int = DEFAULT_SEED) -> SuiteRes
     """Run one suite: count its checks and failures, keep the first
     counterexample.  The golden suite fixes its own primes, so it reports no p.
     A suite that makes no check on its box raises ValueError rather than pass."""
-    results = list(SUITES[name](p, box, seed))
+    results = list(SUITES[name](Prime(p), box, seed))
     if not results:
         where = "its default box" if box is None else f"box {tuple(box)}"
         raise ValueError(f"suite {name!r} made no check on {where}")

@@ -5,6 +5,8 @@ from digit_helpers import s_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triarr
+from triarr import atlas, fpcore, homopoly, oracle, verify
 from triarr.fpcore import (
     GuardError,
     Prime,
@@ -37,9 +39,57 @@ class TestPrime:
         p = Prime(7)
         assert p + 1 == 8 and p % 2 == 1
 
+    def test_nested_calls_divide_once(self, monkeypatch):
+        p = Prime(7)
+        assert Prime(p) is p
+        calls = []
+        monkeypatch.setattr(fpcore, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        triarr.plan_basis((41, 52, 31), 3)
+        triarr.fast_exponents((41, 52, 31), 3)
+        assert calls == [3, 3]
+
     def test_is_prime_small_table(self):
         sieve = [n for n in range(2, 200) if all(n % d for d in range(2, n))]
         assert [n for n in range(200) if is_prime(n)] == sieve
+
+
+# every public function that takes a modulus, with valid other arguments;
+# the unbalanced mu, lo > m and the golden suite return before any use of p
+REFUSALS = {
+    "digits": lambda p: digits(10, p),
+    "from_digits": lambda p: from_digits([1, 2], p),
+    "binom_mod_p": lambda p: binom_mod_p(10, 3, p),
+    "g_set": lambda p: g_set(10, p),
+    "least_dominated": lambda p: least_dominated(10, 20, p),
+    "binomial_row": lambda p: homopoly.binomial_row(10, p, 5),
+    "binomial_power": lambda p: triarr.binomial_power(10, p),
+    "defining_poly": lambda p: triarr.defining_poly((1, 2, 3), p),
+    "ball_center": lambda p: triarr.ball_center((5, 5, 6), p, 1),
+    "fast_exponents": lambda p: triarr.fast_exponents((5, 5, 6), p),
+    "fast_exponents_unbalanced": lambda p: triarr.fast_exponents((9, 0, 0), p),
+    "delta_zero": lambda p: triarr.delta_zero((4, 4, 4), p),
+    "enumerate_centers": lambda p: triarr.enumerate_centers(p, 1, (6, 6, 6)),
+    "gamma_membership": lambda p: triarr.gamma_membership((1, 1, 2), p),
+    "psi_fields": lambda p: triarr.psi_fields((1, 1, 2), p),
+    "psi_basis": lambda p: triarr.psi_basis((1, 1, 2), p),
+    "gamma_slice": lambda p: triarr.gamma_slice(4, p),
+    "dual_multiplicity": lambda p: triarr.dual_multiplicity((1, 1, 1), p, 1),
+    "plan_basis": lambda p: triarr.plan_basis((3, 3, 4), p),
+    "lattice_basis": lambda p: oracle.lattice_basis((3, 3, 4), p),
+    "slice_dim": lambda p: triarr.slice_dim((3, 3, 4), p, 5),
+    "oracle_delta": lambda p: triarr.oracle_delta((3, 3, 4), p),
+    "oracle_exponents": lambda p: triarr.oracle_exponents((3, 3, 4), p),
+    "run_suite": lambda p: verify.run_suite("golden", p),
+    "AtlasSpec": lambda p: atlas.AtlasSpec(p, "m3", 4, 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+@pytest.mark.parametrize("p", (0, 1, 4))
+def test_library_refuses_a_modulus_that_is_not_prime(p, name):
+    # at p = 1 several of these looped forever; at 4 they answered over Z/4
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        REFUSALS[name](p)
 
 
 class TestDigits:

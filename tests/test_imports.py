@@ -1,4 +1,5 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, and no
+module of the package or its tests imports numpy.
 
 There is no linter among the test dependencies, so this reads each module
 with ``ast``: every name bound by an import must appear as a name in the
@@ -58,6 +59,27 @@ def test_detector_reports_unused_and_keeps_used():
         "    return link(x)\n"
     )
     assert unused_imports(source) == ["os", "product"]
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages that the source's absolute imports load."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_numpy():
+    # the package and its tests run on plain ints; only perfbench/run.py
+    # imports numpy, to print its version
+    paths = [*Path(triarr.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    assert [p.name for p in paths if "numpy" in imported_packages(p.read_text())] == []
+    source = "import os, numpy.linalg as la\nfrom numpy import array\nfrom . import numpy\n"
+    assert imported_packages(source) == {"os", "numpy"}
+    assert imported_packages("from . import numpy\nimport numbers\n") == {"numbers"}
 
 
 def test_all_is_exactly_what_init_imports():

@@ -7,46 +7,33 @@ import time
 from pathlib import Path
 
 import dense_referee as dense
-import numpy as np
-import pytest
 from dense_referee import nullspace_mod_p, row_reduce_mod_p
 from test_homopoly import refusal_peak_bytes
 
 import triarr
 from triarr.derivmod import Multiplicity, in_module, saito_check
 from triarr.fastexp import enumerate_centers, fast_exponents
-from triarr.fpcore import GuardError
 from triarr.homopoly import HomoPoly, binomial_row
-from triarr.oracle import (
-    _generators,
-    degree_slice,
-    lattice_basis,
-    oracle_delta,
-    oracle_exponents,
-    slice_dim,
-)
+from triarr.oracle import _generators, lattice_basis, oracle_delta, oracle_exponents, slice_dim
 
 
 class TestElimination:
     def test_rref_identity(self):
-        m = np.array([[2, 0], [0, 3]])
-        red, pivots = row_reduce_mod_p(m, 5)
+        red, pivots = row_reduce_mod_p([[2, 0], [0, 3]], 5)
         assert pivots == [0, 1]
-        assert (red == np.eye(2, dtype=int)).all()
+        assert red == [[1, 0], [0, 1]]
 
     def test_rank_against_rationals(self):
         rng = random.Random(101)
         for _ in range(50):
             p = rng.choice([2, 3, 5, 7])
             rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-            m = np.array(
-                [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            )
+            m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
             # independent oracle: exact rank by fraction-free minors over Z
             # (row reduce a copy with Fraction arithmetic)
             from fractions import Fraction
 
-            work = [[Fraction(int(v)) for v in row] for row in m.tolist()]
+            work = [[Fraction(v) for v in row] for row in m]
             rank = 0
             for c in range(cols):
                 pivot = next(
@@ -71,43 +58,28 @@ class TestElimination:
         for _ in range(50):
             p = rng.choice([2, 3, 5])
             rows, cols = rng.randrange(0, 5), rng.randrange(1, 6)
-            m = np.array(
-                [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            ).reshape(rows, cols)
-            ns = nullspace_mod_p(m, p)
-            assert ns.shape[0] == cols - len(row_reduce_mod_p(m, p)[1])
-            if rows and ns.shape[0]:
-                assert (m @ ns.T % p == 0).all()
+            m = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            ns = nullspace_mod_p(m, p, cols)
+            assert len(ns) == cols - len(row_reduce_mod_p(m, p)[1])
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m for v in ns)
 
     def test_nullspace_deterministic(self):
-        m = np.array([[1, 2, 0, 1], [0, 0, 1, 1]])
-        a = nullspace_mod_p(m, 3)
-        b = nullspace_mod_p(m, 3)
-        assert (a == b).all()
+        m = [[1, 2, 0, 1], [0, 0, 1, 1]]
+        a = nullspace_mod_p(m, 3, 4)
+        b = nullspace_mod_p(m, 3, 4)
+        assert a == b
 
 
 class TestDegreeSlice:
+    # slice bases come from the dense referee; slice_dim from the lattice
     def test_euler_slice(self):
         for p in (2, 3, 5):
-            sl = degree_slice((1, 1, 1), p, 1)
-            assert sl.dim == 1
-            theta = sl.basis[0]
+            (theta,) = dense.degree_slice((1, 1, 1), p, 1)
             assert theta.f == HomoPoly.monomial(p, 1, 0)
             assert theta.g == HomoPoly.monomial(p, 0, 1)
 
     def test_empty_multiplicity_degree_zero(self):
-        sl = degree_slice((0, 0, 0), 3, 0)
-        assert sl.dim == 2
-
-    def test_span_matrix_beyond_dense_guard_refused_at_once(self):
-        # (1, 1, 1) has exponents (1, 2): at d = 1024 the span matrix has
-        # 2047 x 2048 entries, within 2^22; one degree more is refused
-        assert degree_slice((1, 1, 1), 2, 8).dim == 15
-        for d in (1025, 2**21):
-            start = time.perf_counter()
-            with pytest.raises(GuardError):
-                degree_slice((1, 1, 1), 2, d)
-            assert time.perf_counter() - start < 0.5
+        assert len(dense.degree_slice((0, 0, 0), 3, 0)) == 2
 
     def test_334_p5_dims(self):
         assert slice_dim((3, 3, 4), 5, 4) == 0
@@ -119,7 +91,7 @@ class TestDegreeSlice:
             p = rng.choice([2, 3, 5])
             mu = tuple(rng.randrange(5) for _ in range(3))
             d = rng.randrange(sum(mu) + 2)
-            for theta in degree_slice(mu, p, d).basis:
+            for theta in dense.degree_slice(mu, p, d):
                 assert theta.degree in (None, d)
                 assert in_module(theta, mu)
 
@@ -285,8 +257,8 @@ class TestLatticeAgainstDense:
         return [(t.to_text(), t.f.coeffs, t.g.coeffs) for t in fields]
 
     def test_small_box_outputs_are_identical(self):
-        # pair text, gap and every slice basis, byte for byte, against the
-        # dense referee's canonical nullspace choice; slice_dim counts the basis
+        # pair text and gap, byte for byte, against the dense referee's
+        # canonical nullspace choice; slice_dim counts the referee's slice basis
         for p, side in ((2, 5), (3, 5), (5, 4), (7, 4)):
             for mu in itertools.product(range(side + 1), repeat=3):
                 d1, d2, pair = oracle_exponents(mu, p)
@@ -294,9 +266,7 @@ class TestLatticeAgainstDense:
                 assert (d1, d2) == (r1, r2) and oracle_delta(mu, p) == r2 - r1
                 assert self._fields([pair.low, pair.high]) == self._fields([ref.low, ref.high]), (mu, p)
                 for d in range(sum(mu) + 2):
-                    got = self._fields(degree_slice(mu, p, d).basis)
-                    assert got == self._fields(dense.degree_slice(mu, p, d)), (mu, p, d)
-                    assert slice_dim(mu, p, d) == len(got), (mu, p, d)
+                    assert slice_dim(mu, p, d) == len(dense.degree_slice(mu, p, d)), (mu, p, d)
 
     def test_large_mu_gap_matches_closed_form(self):
         # seeded |mu| up to about 10^4: lattice gap == closed-form gap; a few
