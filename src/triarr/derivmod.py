@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .fpcore import DEGREE_GUARD, GuardError, Prime
-from .homopoly import HomoPoly, binomial_power, dense_guard
+from .homopoly import HomoPoly, binomial_power, dense_guard, frobenius_root
 
 
 class CertificationError(RuntimeError):
@@ -122,10 +122,6 @@ class VectorField:
     def __hash__(self):
         return hash((self.f, self.g))
 
-    def apply_to_sum(self) -> HomoPoly:
-        """theta(x + y) = f + g."""
-        return self.f + self.g
-
     def scale(self, c: int) -> "VectorField":
         return VectorField(self.f.scale(c), self.g.scale(c))
 
@@ -187,13 +183,13 @@ def defining_poly(mu, p: int) -> HomoPoly:
 
 
 def in_module(theta: VectorField, mu) -> bool:
-    """Membership of theta in the logarithmic module of multiplicity mu."""
+    """Membership of theta in the logarithmic module of multiplicity mu.
+    theta(x + y) = f + g is formed at the common Frobenius root: (F + G)^q."""
     mu = as_multiplicity(mu)
-    return (
-        theta.f.divisible_by_axis("x", mu.mu1)
-        and theta.g.divisible_by_axis("y", mu.mu2)
-        and theta.apply_to_sum().divisible_by_linear_power(mu.mu3)
-    )
+    if not (theta.f.divisible_by_axis("x", mu.mu1) and theta.g.divisible_by_axis("y", mu.mu2)):
+        return False
+    q, (f, g) = frobenius_root(theta.f, theta.g)
+    return (f + g).divisible_by_linear_power(-(-mu.mu3 // q))
 
 
 def saito_check(t1: VectorField, t2: VectorField, mu) -> bool:

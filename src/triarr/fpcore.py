@@ -8,6 +8,8 @@ residues) and the digit-dominance set G_m.
 
 from __future__ import annotations
 
+from math import comb
+
 # Desk-scale guardrails: |mu| and ball radii stay at most 2^32, digit-dominance
 # sets at most 2^20 entries.
 DEGREE_GUARD = 1 << 32
@@ -89,14 +91,7 @@ def binom_mod_p(m: int, j: int, p: int) -> int:
     while j:
         m, cm = divmod(m, p)
         j, cj = divmod(j, p)
-        if cj > cm:
-            return 0
-        # small-digit binomial, exact
-        num, den = 1, 1
-        for t in range(cj):
-            num *= cm - t
-            den *= t + 1
-        acc = acc * ((num // den) % p) % p
+        acc = acc * comb(cm, cj) % p  # comb is 0 when cj > cm
     return acc
 
 

@@ -10,9 +10,13 @@ by x^k and y^k (coefficient-window checks) and by (x+y)^c.  The latter
 divides the dehomogenization h(u, 1), which loses nothing because x + y is
 coprime to y.  Over F_p, Frobenius gives (u + 1)^(p^i) = u^(p^i) + 1, so
 (u + 1)^c is the product of s_p(c) sparse factors u^q + 1, one per unit of
-each base-p digit of c; exact division by each is a stride-q recurrence, and
-the test costs O(degree * s_p(c)) steps instead of O(degree * c).  It needs
-no derivative, which would lose information in characteristic p.
+each base-p digit of c; exact division by each is a stride-q recurrence.
+Frobenius also gives H(u^q) = H(u)^q: when every nonzero coefficient of h
+sits at an x-power divisible by q = p^k, the Frobenius stride of its
+support, the (u + 1)-order of h is q times that of its root H, so the test
+runs on H with ceil(c/q) and costs O((degree/q) * s_p(ceil(c/q))) steps
+instead of O(degree * c).  It needs no derivative, which would lose
+information in characteristic p.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class HomoPoly:
 
         An empty or all-zero vector yields the zero polynomial.
         """
-        p = int(p)
+        p = Prime(p)
         cs = tuple(map(p.__rmod__, map(int, coeffs)))
         if not any(cs):
             cs = ()
@@ -222,12 +226,13 @@ class HomoPoly:
         return out
 
     def divisible_by_linear_power(self, c: int) -> bool:
-        """Whether (x + y)^c divides this polynomial."""
+        """Whether (x + y)^c divides this polynomial: whether (u + 1)^ceil(c/q)
+        divides its Frobenius root H, as h(u, 1) = H(u, 1)^q."""
         if c <= 0 or self.is_zero:
             return True
-        if c > self.degree:
-            return False
-        return not any(self.remainder_mod_linear(c))
+        q, (root,) = frobenius_root(self)
+        c = -(-c // q)
+        return c <= root.degree and not any(root.remainder_mod_linear(c))
 
     def frobenius_scale(self, q: int) -> "HomoPoly":
         """The q-th power h^q for q a power of p.
@@ -271,6 +276,25 @@ class HomoPoly:
                 factors.insert(0, str(a))
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def frobenius_root(*polys: HomoPoly) -> tuple[int, tuple[HomoPoly, ...]]:
+    """(q, roots): q is the largest power of p with every nonzero coefficient
+    of every poly at an x-power divisible by q, and each root H keeps those
+    coefficients, so h(u, 1) = H(u^q, 1) = H(u, 1)^q over F_p.  Each power of
+    p tried costs one slice and one count(0) per poly."""
+    p, q = polys[0].p, 0
+    for r in (h.coeffs for h in polys if h.coeffs):
+        n, s = len(r) - r.count(0), 1
+        while s != q and len(r) > 1:
+            r = r[::p]
+            if len(r) - r.count(0) != n:
+                break
+            s *= p
+        q = s
+    if q <= 1:
+        return 1, polys
+    return q, tuple(HomoPoly._canonical(p, h.coeffs[::q]) for h in polys)
 
 
 def _digit_row(d: int, p: int) -> list[int]:

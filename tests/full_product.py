@@ -27,6 +27,11 @@ def projectively_equal(a: HomoPoly, b: HomoPoly) -> bool:
     return all(x == c * y % p for x, y in zip(a.coeffs, b.coeffs))
 
 
+def apply_to_sum(theta: VectorField) -> HomoPoly:
+    """theta(x + y) = f + g, formed at full degree."""
+    return theta.f + theta.g
+
+
 def saito_det(t1: VectorField, t2: VectorField) -> HomoPoly:
     """Coefficient determinant f1*g2 - f2*g1."""
     return t1.f * t2.g - t2.f * t1.g

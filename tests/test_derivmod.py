@@ -3,8 +3,8 @@ import random
 
 import dense_referee as dense
 import pytest
-from full_product import full_product_check, projectively_equal, saito_det
-from test_homopoly import refusal_peak_bytes
+from full_product import apply_to_sum, full_product_check, projectively_equal, saito_det
+from test_homopoly import divisible_by_long_division, refusal_peak_bytes
 
 from triarr import homopoly
 from triarr.basisfactory import plan_basis
@@ -19,7 +19,7 @@ from triarr.derivmod import (
     saito_check,
 )
 from triarr.fpcore import GuardError
-from triarr.homopoly import HomoPoly, binomial_power
+from triarr.homopoly import HomoPoly, binomial_power, frobenius_root
 from triarr.oracle import oracle_exponents
 
 
@@ -96,6 +96,12 @@ class TestVectorField:
     def test_zero_component_allowed(self):
         v = dy(5)
         assert v.degree == 0 and v.f.is_zero
+
+    @pytest.mark.parametrize("p", (0, 1, 4))
+    def test_modulus_that_is_not_prime_refused(self, p):
+        # at p = 4 this built a field over Z/4 that in_module then judged
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            VectorField(HomoPoly(p, [2, 0]), HomoPoly(p, [0, 2]))
 
     def test_text_forms(self):
         p = 3
@@ -180,6 +186,76 @@ class TestInModule:
                     q = p ** rng.choice([1, 2])
                     lifted = theta.frobenius(q)
                     assert in_module(lifted, tuple(q * c for c in mu))
+
+
+def reference_in_module(theta: VectorField, mu) -> bool:
+    """Membership with f + g formed at full degree and tested by long division."""
+    m1, m2, m3 = mu
+    return (
+        theta.f.divisible_by_axis("x", m1)
+        and theta.g.divisible_by_axis("y", m2)
+        and divisible_by_long_division(apply_to_sum(theta), m3)
+    )
+
+
+def spread(rng, p, q, r, ys=0):
+    """y^ys H(x^q, y^q) with (x+y)^r dividing a random nonzero H of degree >= 1."""
+    h = HomoPoly.zero(p)
+    while h.is_zero:
+        h = HomoPoly(p, [rng.randrange(p) for _ in range(rng.randint(2, 5))]) * binomial_power(r, p)
+    return h.frobenius_scale(q).times_y_power(ys)
+
+
+class TestInModuleAtTheRoot:
+    """in_module forms f + g at the common Frobenius root of f and g."""
+
+    CASES = [(p, k) for p in (2, 3, 5, 7) for k in (1, 2)]
+
+    @staticmethod
+    def orders(q, r):
+        return sorted({0, 1, q * r, q * r + 1} | ({q * r - 1} if r else set()))
+
+    @pytest.mark.parametrize("p,k", CASES)
+    def test_cancellation_to_a_spread_sum(self, p, k):
+        # f and g are off-stride, and their off-stride parts cancel in f + g
+        rng, q = random.Random(p * 10 + k), p**k
+        for r in range(4):
+            h = spread(rng, p, q, r)
+            off = [rng.randrange(p) if i % q else 0 for i in range(h.degree + 1)]
+            off[rng.choice([i for i in range(h.degree + 1) if i % q])] = 1
+            e = HomoPoly(p, off)
+            theta = VectorField(h + e, -e)
+            assert frobenius_root(theta.f, theta.g)[0] == 1 < frobenius_root(apply_to_sum(theta))[0]
+            for c in self.orders(q, r):
+                assert in_module(theta, (0, 0, c)) == reference_in_module(theta, (0, 0, c))
+            assert in_module(theta, (0, 0, q * r))
+
+    @pytest.mark.parametrize("p,k", CASES)
+    def test_zero_components(self, p, k):
+        rng, q = random.Random(p * 20 + k), p**k
+        z = HomoPoly.zero(p)
+        assert in_module(VectorField(z, z), (5, 5, 50))
+        for r in range(4):
+            h = spread(rng, p, q, r)
+            for theta in (VectorField(h, z), VectorField(z, h)):
+                for c in self.orders(q, r):
+                    mu = (0, 0, c)
+                    assert in_module(theta, mu) == reference_in_module(theta, mu)
+
+    @pytest.mark.parametrize("p,k", CASES)
+    def test_zero_top_coefficient(self, p, k):
+        # a factor y^ys leaves the top coefficient 0 and the degree off-stride
+        rng, q = random.Random(p * 30 + k), p**k
+        for r in range(4):
+            for ys in (1, q - 1):
+                f, g = spread(rng, p, q, r, ys), spread(rng, p, q, r, ys)
+                if f.degree != g.degree:
+                    continue
+                theta = VectorField(f, g)
+                assert f.coeffs[-1] == 0 and frobenius_root(f, g)[0] >= q
+                for c in self.orders(q, r):
+                    for mu in ((0, 0, c), (0, ys, c)):
+                        assert in_module(theta, mu) == reference_in_module(theta, mu)
 
 
 class TestSaito:

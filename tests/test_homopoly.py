@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triarr import homopoly
+from triarr.basisfactory import TransformStep, psi_basis, transport
 from triarr.fpcore import GuardError, binom_mod_p
-from triarr.homopoly import HomoPoly, binomial_power, binomial_row
+from triarr.homopoly import HomoPoly, binomial_power, binomial_row, frobenius_root
 
 PRIMES = [2, 3, 5, 7]
 
@@ -38,6 +39,18 @@ class TestConstruction:
     def test_monomial_and_terms(self):
         h = HomoPoly.monomial(5, 2, 3, 4)
         assert h.degree == 5 and list(h.terms()) == [(2, 3, 4)]
+
+    @pytest.mark.parametrize("p", (0, 1, 4))
+    @pytest.mark.parametrize("build", [
+        lambda p: HomoPoly(p, [1, 2, 3]),
+        lambda p: HomoPoly.zero(p),
+        lambda p: HomoPoly.monomial(p, 1, 0),
+    ], ids=["init", "zero", "monomial"])
+    def test_modulus_that_is_not_prime_refused(self, build, p):
+        # p = 1 made every polynomial zero, p = 0 raised ZeroDivisionError
+        # and p = 4 built polynomials over Z/4
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            build(p)
 
 
 def refusal_peak_bytes(build) -> int:
@@ -206,6 +219,32 @@ class TestBinomialPower:
                 acc = acc * s
 
 
+def long_division(h: HomoPoly, c: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of h(u, 1) by the monic (u + 1)^c, by textbook
+    long division; h nonzero with c <= degree.  Zero divisor terms are
+    skipped, so a spread divisor (u^q + 1)^r costs r + 1 terms per step."""
+    p = h.p
+    divisor = [(i, dc) for i, dc in enumerate(binomial_power(c, p).coeffs) if dc]
+    rem = list(h.coeffs)
+    quot = [0] * (len(rem) - c)
+    for top in range(len(rem) - 1, c - 1, -1):
+        lead = rem[top] % p
+        quot[top - c] = lead
+        if lead:
+            for i, dc in divisor:
+                rem[top - c + i] = (rem[top - c + i] - lead * dc) % p
+    return quot, [r % p for r in rem]
+
+
+def divisible_by_long_division(h: HomoPoly, c: int) -> bool:
+    """Whether (x + y)^c divides h, by long_division."""
+    if c <= 0 or h.is_zero:
+        return True
+    if c > h.degree:
+        return False
+    return not any(long_division(h, c)[1])
+
+
 class TestDivisibility:
     def test_axis_examples(self):
         h = HomoPoly.monomial(5, 3, 1)  # x^3 y
@@ -294,26 +333,37 @@ class TestRemainderModLinear:
         p = base.p
         h = base * binomial_power(e, p)
         divis = h.divisible_by_linear_power(c)
-        if h.is_zero:
-            assert divis
-            return
-        if c > h.degree:
-            assert not divis
-            return
-        divisor = list(binomial_power(c, p).coeffs)
-        rem = list(h.coeffs)
-        quot = [0] * (len(rem) - c)
-        for top in range(len(rem) - 1, c - 1, -1):
-            lead = rem[top] % p
-            quot[top - c] = lead
-            if lead:
-                for i, dc in enumerate(divisor):
-                    rem[top - c + i] = (rem[top - c + i] - lead * dc) % p
-        assert divis == (not any(r % p for r in rem))
-        if divis:
-            q = HomoPoly(p, quot)
+        assert divis == divisible_by_long_division(h, c)
+        if divis and not h.is_zero:
+            q = HomoPoly(p, long_division(h, c)[0])
             back = q * binomial_power(c, p) if not q.is_zero else HomoPoly.zero(p)
             assert back == h
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(PRIMES),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.booleans(),
+        st.data(),
+    )
+    def test_frobenius_spread_agrees_with_long_division(self, p, k, cs, r, ys, off, data):
+        # h = y^ys H(x^q, y^q) with (x+y)^r | H, so the test descends to the
+        # root H; one off-stride coefficient makes q = 1 for h itself
+        q = p**k
+        big = HomoPoly(p, cs) * binomial_power(r, p)
+        if big.is_zero:
+            return
+        h = big.frobenius_scale(q).times_y_power(ys)
+        if off and q > 1 and h.degree:
+            cs = list(h.coeffs)
+            i = data.draw(st.sampled_from([i for i in range(len(cs)) if i % q]))
+            cs[i] = data.draw(st.integers(1, p - 1))
+            h = HomoPoly(p, cs)
+        for c in (0, 1, q * r - 1, q * r, q * r + 1, data.draw(st.integers(0, h.degree + 2))):
+            assert h.divisible_by_linear_power(c) == divisible_by_long_division(h, c), (q, c)
 
     def test_multiplicity_at_transport_scale(self):
         # h = r * (x+y)^e with r(-1, 1) != 0, so (x+y)^e is the exact power
@@ -328,6 +378,37 @@ class TestRemainderModLinear:
                 h = r * binomial_power(e, p)
                 assert h.divisible_by_linear_power(e)
                 assert not h.divisible_by_linear_power(e + 1)
+
+
+class TestFrobeniusRoot:
+    def test_stride_and_roots(self):
+        # x^9 + 2 y^9 and x^6 y^3 over F_3: common stride 3, not 9
+        f, g = HomoPoly(3, [2] + [0] * 8 + [1]), HomoPoly.monomial(3, 6, 3)
+        assert frobenius_root(f) == (9, (HomoPoly(3, [2, 1]),))
+        q, (rf, rg) = frobenius_root(f, g)
+        assert q == 3 and rf.coeffs == (2, 0, 0, 1) and rg.coeffs == (0, 0, 1, 0)
+
+    def test_zero_and_off_stride(self):
+        z, h = HomoPoly.zero(2), HomoPoly(2, [1, 1])
+        assert frobenius_root(z) == (1, (z,))
+        assert frobenius_root(z, h) == (1, (z, h))
+        q, roots = frobenius_root(z, h.frobenius_scale(4))
+        assert q == 4 and roots == (z, h)
+
+    def test_lift_is_tested_at_the_root(self, monkeypatch):
+        # a FrobeniusLift(q) pair is certified on polynomials of degree
+        # at most its degree / q
+        p, mu, q = 3, (3, 5, 7), 9
+        pair = psi_basis(mu, p)
+        degrees = []
+        divide = HomoPoly.remainder_mod_linear
+        monkeypatch.setattr(
+            HomoPoly, "remainder_mod_linear", lambda h, c: degrees.append(h.degree) or divide(h, c)
+        )
+        lifted, nu = transport(pair, mu, TransformStep("FrobeniusLift", q))
+        assert lifted.certified and nu == tuple(q * m for m in mu)
+        top = max(lifted.exponents)
+        assert degrees and max(degrees) <= top // q, (degrees, top)
 
 
 class TestFrobeniusScale:
