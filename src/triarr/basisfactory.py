@@ -157,13 +157,13 @@ def _hop(fields, mu: Multiplicity, step: TransformStep, n: int = 1):
         s = n * p**step.param
         target = Multiplicity(m1 + s, m2 + s, m3)
         move = lambda t: VectorField(
-            t.f.times_x_power(s), (-t.g if n % 2 else t.g).times_y_power(s)
+            t.f.times_monomial(s, 0), (-t.g if n % 2 else t.g).times_monomial(0, s)
         )
     else:
         e = p**step.param
         target = dual_multiplicity(mu, p, step.param)
         move = lambda t: VectorField(
-            t.g.div_y_power(m2).times_x_power(e - m1), (-t.f.div_x_power(m1)).times_y_power(e - m2)
+            t.g.times_monomial(e - m1, -m2), (-t.f).times_monomial(-m1, e - m2)
         )
     basis_guard(target)
     return [move(t) for t in fields], target

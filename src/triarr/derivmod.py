@@ -175,11 +175,8 @@ class BasisPair(_PairFields):
 def defining_poly(mu, p: int) -> HomoPoly:
     """x^m1 y^m2 (x+y)^m3 over F_p."""
     mu, p = as_multiplicity(mu), Prime(p)
-    coeffs = [0] * dense_guard(mu.total + 1, "a defining polynomial")
-    row = binomial_power(mu.mu3, p)  # never zero: leading coefficient is 1
-    for j, c in enumerate(row.coeffs):
-        coeffs[mu.mu1 + j] = c
-    return HomoPoly(p, coeffs)
+    dense_guard(mu.total + 1, "a defining polynomial")
+    return binomial_power(mu.mu3, p).times_monomial(mu.mu1, mu.mu2)
 
 
 def in_module(theta: VectorField, mu) -> bool:

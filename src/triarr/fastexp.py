@@ -9,6 +9,11 @@ contain it for each scale p^m and taking the largest qualifying scale:
   k = max({0} | {m > 0 : 2 p^m <= |mu| and mu lies in a radius-p^m ball
                   around p^m * (balanced odd) }).
 
+A balanced mu never lies in a ball around an unbalanced center q * nu: with
+nu_i the largest part of nu, 2 nu_i - |nu| >= 1, and d = mu - q nu with
+|d|_1 < q gives 2 mu_i - |mu| = q (2 nu_i - |nu|) + d_i - sum_(j != i) d_j > 0.
+So for balanced mu every ball found at a scale qualifies.
+
 For k = 0 the gap is the parity of |mu|; for k > 0 the gap falls off
 linearly across the ball, gap = p^k - |mu - center|_1.  Either way the two
 exponents sum to |mu|, so they are (|mu| - gap) / 2 and (|mu| + gap) / 2.
@@ -25,8 +30,8 @@ from typing import NamedTuple
 from .derivmod import Multiplicity, as_multiplicity, dist1
 from .fpcore import DEGREE_GUARD, GuardError, Prime
 
-# Open-question instrumentation: counts scales where a lattice ball exists
-# but its center is unbalanced (and the scale was therefore rejected).
+# Scales rejected for an unbalanced center; the benchmark reads it.  It stays
+# 0: no such ball holds a balanced mu (module docstring).
 filter_stats = {"unbalanced_center_rejections": 0}
 
 # Most points enumerate_centers scans (about a minute of looping); verify's
@@ -114,17 +119,15 @@ def ball_center(mu, p: int, k: int) -> BallHit | None:
 
 
 def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
-    """The one scale walk: the last m with 2 p^m <= |mu| whose ball has a
-    balanced center, and that ball; (0, None) when there is none."""
+    """The one scale walk for a balanced mu: the last m with 2 p^m <= |mu|
+    whose ball holds mu, and that ball; (0, None) when there is none.  Every
+    such ball has a balanced center (module docstring)."""
     k, best = 0, None
     m = 1
     while 2 * p**m <= mu.total:
         hit = ball_center(mu, p, m)
         if hit is not None:
-            if hit.center.balanced:
-                k, best = m, hit
-            else:
-                filter_stats["unbalanced_center_rejections"] += 1
+            k, best = m, hit
         m += 1
     return k, best
 
@@ -133,36 +136,20 @@ def fast_exponents(mu, p: int) -> ExponentReport:
     """Exponent gap and pair for any mu: the distance to the ball's center."""
     mu, p = as_multiplicity(mu), Prime(p)
     total = mu.total
+    k, hit = 0, None
     if not mu.balanced:  # the dominant line decides: gap 2 max - |mu|
-        top = max(mu)
-        return ExponentReport(
-            mu=mu, p=p, delta=2 * top - total, exponents=(total - top, top), tag="Unbalanced"
-        )
-    k, hit = _walk(mu, p)
-    if hit is None:
-        if total % 2:
-            return ExponentReport(
-                mu=mu,
-                p=p,
-                delta=1,
-                exponents=((total - 1) // 2, (total + 1) // 2),
-                tag="K0Odd",
-                center=mu,  # a balanced odd point outside every larger ball
-            )
-        return ExponentReport(
-            mu=mu, p=p, delta=0, exponents=(total // 2, total // 2), tag="K0Even"
-        )
-    delta = p**k - dist1(mu, hit.center)
+        delta, tag, center = 2 * max(mu) - total, "Unbalanced", None
+    else:
+        k, hit = _walk(mu, p)
+        if hit is not None:
+            delta, tag, center = p**k - dist1(mu, hit.center), "Case" + hit.case, hit.center
+        elif total % 2:  # a balanced odd point outside every larger ball
+            delta, tag, center = 1, "K0Odd", mu
+        else:
+            delta, tag, center = 0, "K0Even", None
     return ExponentReport(
-        mu=mu,
-        p=p,
-        delta=delta,
-        exponents=((total - delta) // 2, (total + delta) // 2),
-        tag="Case" + hit.case,
-        k=k,
-        center=hit.center,
-        alpha=hit.alpha,
-        beta=hit.beta,
+        mu=mu, p=p, delta=delta, exponents=((total - delta) // 2, (total + delta) // 2),
+        tag=tag, k=k, center=center, alpha=hit and hit.alpha, beta=hit and hit.beta,
     )
 
 
@@ -189,12 +176,12 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
 
     A center of radius p^k is a point zeta = p^k*nu (nu balanced, |nu| odd)
     in no radius-p^m ball around p^m*(balanced odd lattice) for m > k.  The
-    balls scale by p: ball_center(p^k nu, p, m) is p^k ball_center(nu, p, m-k),
-    and the scales up to k add no ball and no rejection, so zeta is a center
-    exactly when nu's walk finds no ball, with the same rejections.  The
-    walk's bound 2 p^m <= |nu| loses no scale, since such a ball holds only
-    totals above 2 p^m.  A box with more than CENTER_CANDIDATE_GUARD points
-    p^k * nu raises GuardError.
+    balls scale by p: ball_center(p^k nu, p, m) is p^k ball_center(nu, p, m-k)
+    for m > k, so zeta is a center exactly when nu's walk finds no ball.  The
+    walk reads only balanced nu, so it takes every ball it finds, and its
+    bound 2 p^m <= |nu| loses no scale, since such a ball holds only totals
+    above 2 p^m.  A box with more than CENTER_CANDIDATE_GUARD points p^k * nu
+    raises GuardError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

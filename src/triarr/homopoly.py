@@ -24,11 +24,11 @@ from __future__ import annotations
 from .fpcore import DENSE_ROW_GUARD, GuardError, Prime, binom_mod_p, digits
 
 
-def dense_guard(n: int, what: str) -> int:
-    """n, when a dense list of n coefficients fits DENSE_ROW_GUARD; callers
-    check before they build the list."""
+def dense_guard(n: int, what: str, unit: str = "coefficients") -> int:
+    """n, when a dense list of n entries fits DENSE_ROW_GUARD; callers check
+    before they build the list."""
     if n > DENSE_ROW_GUARD:
-        raise GuardError(f"{what} of {n} coefficients exceeds {DENSE_ROW_GUARD}")
+        raise GuardError(f"{what} of {n} {unit} exceeds {DENSE_ROW_GUARD}")
     return n
 
 
@@ -153,33 +153,17 @@ class HomoPoly:
         c %= self.p
         return HomoPoly(self.p, [c * a % self.p for a in self.coeffs])
 
-    def times_x_power(self, k: int) -> "HomoPoly":
-        if self.is_zero or k == 0:
+    def times_monomial(self, i: int, j: int) -> "HomoPoly":
+        """h * x^i * y^j.  A negative exponent divides, and raises ValueError
+        unless the division is exact."""
+        if self.is_zero:
             return self
-        dense_guard(len(self.coeffs) + k, "a product")
-        return HomoPoly._canonical(self.p, (0,) * k + self.coeffs)
-
-    def times_y_power(self, k: int) -> "HomoPoly":
-        if self.is_zero or k == 0:
-            return self
-        dense_guard(len(self.coeffs) + k, "a product")
-        return HomoPoly._canonical(self.p, self.coeffs + (0,) * k)
-
-    def div_x_power(self, k: int) -> "HomoPoly":
-        """Exact division by x^k; raises if not divisible."""
-        if self.is_zero or k == 0:
-            return self
-        if not self.divisible_by_axis("x", k):
-            raise ValueError(f"not divisible by x^{k}")
-        return HomoPoly._canonical(self.p, self.coeffs[k:])
-
-    def div_y_power(self, k: int) -> "HomoPoly":
-        """Exact division by y^k; raises if not divisible."""
-        if self.is_zero or k == 0:
-            return self
-        if not self.divisible_by_axis("y", k):
-            raise ValueError(f"not divisible by y^{k}")
-        return HomoPoly._canonical(self.p, self.coeffs[: len(self.coeffs) - k])
+        dense_guard(len(self.coeffs) + i + j, "a product")
+        a, b = max(-i, 0), max(-j, 0)
+        if not (self.divisible_by_axis("x", a) and self.divisible_by_axis("y", b)):
+            raise ValueError(f"not divisible by x^{a}*y^{b}")
+        cs = self.coeffs[a : len(self.coeffs) - b]
+        return HomoPoly._canonical(self.p, (0,) * (i + a) + cs + (0,) * (j + b))
 
     # -- divisibility and Frobenius ------------------------------------
 

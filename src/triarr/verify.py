@@ -4,8 +4,10 @@ Every suite is exact (no tolerances) and exhaustive on its box, and every
 basis built along the way must carry a Saito certificate.  A suite is a
 generator over (p, box, seed) that yields one value per check: None when
 the check holds, else the counterexample text; run_suite counts the checks
-and failures and keeps the first counterexample.  Each suite below, with
-the settings it reads and what it checks on its default box:
+and failures and keeps the first counterexample.  A box of more than
+DENSE_ROW_GUARD points (duality's cube of side p^2 from p = 13 on) is
+refused before the suite's first check.  Each suite below, with the
+settings it reads and what it checks on its default box:
 
     differential  box        fast == oracle, on 12^3 (10^3 for p >= 5)
     adjacency     box        |gap(mu) - gap(nu)| = 1 for neighbours, on 8^3
@@ -21,7 +23,6 @@ the settings it reads and what it checks on its default box:
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
@@ -29,6 +30,7 @@ from . import basisfactory, fastexp, oracle
 from .basisfactory import TransformStep
 from .derivmod import Multiplicity, as_multiplicity, dist1, in_module, saito_check
 from .fpcore import Prime, binom_mod_p, g_set
+from .homopoly import dense_guard
 
 DEFAULT_SEED = 20250810
 
@@ -57,10 +59,12 @@ class SuiteResult(NamedTuple):
         return f"{label}: FAIL ({self.checks} checks, {self.failures} failures, first: {first})"
 
 
-def _box_points(bound) -> list[Multiplicity]:
-    """The box 0 <= mu <= bound, last coordinate fastest."""
+def _box_points(bound) -> Iterator[Multiplicity]:
+    """The box 0 <= mu <= bound, last coordinate fastest; a box of more than
+    DENSE_ROW_GUARD points raises GuardError when this is called."""
     b = as_multiplicity(bound)
-    return [Multiplicity(*t) for t in product(*(range(c + 1) for c in b))]
+    dense_guard((b.mu1 + 1) * (b.mu2 + 1) * (b.mu3 + 1), f"box {tuple(b)}", "points")
+    return map(Multiplicity._make, product(*(range(c + 1) for c in b)))
 
 
 def _unless(ok: bool, text: str) -> str | None:
@@ -101,55 +105,16 @@ def _adjacency(p: int, box, seed: int) -> Checks:
                 yield _unless(abs(dmu - delta[nu]) == 1, f"mu={tuple(mu)}, nu={tuple(nu)}")
 
 
-class _Transport(NamedTuple):
-    """A lattice symmetry checked hop by hop: the pair basisfactory.transport
-    moves must certify at the expected image, whose gap is `factor` times gap(mu)."""
-
-    hops: Callable  # (p, box) -> (mu, step, expected image) in check order
-    param: str  # the step parameter's name in failure texts
-    factor: Callable  # p -> gap(image) / gap(mu)
-    gap: Callable  # (mu, p) -> gap, by the engine that reads the image
-
-
 def _fast_gap(mu, p: int) -> int:
     return fastexp.fast_exponents(mu, p).delta
 
 
-_TRANSPORTS = {
-    # gap(p*mu) = p * gap(mu)
-    "frobenius": _Transport(
-        lambda p, box: ((mu, TransformStep("FrobeniusLift", p), mu.scaled(p))
-                        for mu in _box_points(box or (6, 6, 6))),
-        "q", lambda p: p, _fast_gap,
-    ),
-    # gap(mu + (p^d, p^d, 0)) = gap(mu) whenever mu3 <= p^d
-    "periodicity": _Transport(
-        lambda p, box: (
-            (mu, TransformStep("PeriodShift", d),
-             Multiplicity(mu.mu1 + p**d, mu.mu2 + p**d, mu.mu3))
-            for mu in _box_points(box or (8, 8, 8))
-            for d in (1, 2, 3)
-            if mu.mu3 <= p**d
-        ),
-        "d", lambda p: 1, _fast_gap,
-    ),
-    # gap(mu-dual) = gap(mu) on the cube of side p^d, read by the oracle so
-    # that the check stays lattice-only
-    "duality": _Transport(
-        lambda p, box: (
-            (mu, TransformStep("Dual", d), basisfactory.dual_multiplicity(mu, p, d))
-            for d in (1, 2)
-            for mu in _box_points((p**d,) * 3)
-        ),
-        "d", lambda p: 1, lambda mu, p: oracle.oracle_delta(mu, p),
-    ),
-}
-
-
-def _transport(row: _Transport, p: int, box, seed: int) -> Checks:
-    """One check per hop; the oracle basis at mu is solved once per mu."""
+def _transports(p: int, hops, factor: int, gap) -> Checks:
+    """One check per (mu, step, image) hop: the pair basisfactory.transport
+    moves must certify at the expected image, whose gap by `gap` is factor
+    times gap(mu).  The oracle basis at mu is solved once per mu."""
     mu0 = None
-    for mu, step, image in row.hops(p, box):
+    for mu, step, image in hops:
         if mu != mu0:
             mu0, (d1, d2, pair) = mu, oracle.oracle_exponents(mu, p)
         try:
@@ -157,8 +122,35 @@ def _transport(row: _Transport, p: int, box, seed: int) -> Checks:
             ok = got == image and moved.certified
         except Exception:  # a transport that raises is a failed check
             ok = False
-        ok = ok and row.gap(image, p) == row.factor(p) * (d2 - d1)
-        yield _unless(ok, f"mu={tuple(mu)}, {row.param}={step.param}")
+        ok = ok and gap(image, p) == factor * (d2 - d1)
+        param = "q" if step.kind == "FrobeniusLift" else "d"
+        yield _unless(ok, f"mu={tuple(mu)}, {param}={step.param}")
+
+
+def _frobenius(p: int, box, seed: int) -> Checks:
+    """gap(p mu) = p gap(mu), and the lifted pair certifies."""
+    hops = ((mu, TransformStep("FrobeniusLift", p), mu.scaled(p))
+            for mu in _box_points(box or (6, 6, 6)))
+    return _transports(p, hops, p, _fast_gap)
+
+
+def _periodicity(p: int, box, seed: int) -> Checks:
+    """gap(mu + (p^d, p^d, 0)) = gap(mu) whenever mu3 <= p^d, for d <= 3."""
+    hops = (
+        (mu, TransformStep("PeriodShift", d), Multiplicity(mu.mu1 + p**d, mu.mu2 + p**d, mu.mu3))
+        for mu in _box_points(box or (8, 8, 8)) for d in (1, 2, 3) if mu.mu3 <= p**d
+    )
+    return _transports(p, hops, 1, _fast_gap)
+
+
+def _duality(p: int, box, seed: int) -> Checks:
+    """gap(mu-dual) = gap(mu) on the cubes of side p and p^2, read by the
+    oracle so that the check stays lattice-only; both cubes are guarded
+    before the first check."""
+    cubes = [(d, _box_points((p**d,) * 3)) for d in (1, 2)]
+    hops = ((mu, TransformStep("Dual", d), basisfactory.dual_multiplicity(mu, p, d))
+            for d, cube in cubes for mu in cube)
+    return _transports(p, hops, 1, oracle.oracle_delta)
 
 
 # -- binomial-basis region ------------------------------------------------------
@@ -297,7 +289,9 @@ def _golden(p: int, box, seed: int) -> Checks:
 SUITES: dict[str, Callable[..., Checks]] = {
     "differential": _differential,
     "adjacency": _adjacency,
-    **{name: partial(_transport, row) for name, row in _TRANSPORTS.items()},
+    "frobenius": _frobenius,
+    "periodicity": _periodicity,
+    "duality": _duality,
     "gamma": _gamma,
     "centers": _centers,
     "saito": _saito,

@@ -203,7 +203,7 @@ def spread(rng, p, q, r, ys=0):
     h = HomoPoly.zero(p)
     while h.is_zero:
         h = HomoPoly(p, [rng.randrange(p) for _ in range(rng.randint(2, 5))]) * binomial_power(r, p)
-    return h.frobenius_scale(q).times_y_power(ys)
+    return h.frobenius_scale(q).times_monomial(0, ys)
 
 
 class TestInModuleAtTheRoot:

@@ -5,6 +5,7 @@ from triarr import fastexp
 from triarr.basisfactory import gamma_slice
 from triarr.derivmod import Multiplicity, as_multiplicity, dist1
 from triarr.fastexp import ball_center, delta_zero, enumerate_centers, fast_exponents
+from triarr.fpcore import Prime
 from triarr.oracle import oracle_delta, oracle_exponents
 
 
@@ -102,6 +103,26 @@ class TestBallCenter:
                         assert candidates == []
                     else:
                         assert candidates == [hit.center]
+
+
+class TestBalancedPointsSeeBalancedCenters:
+    # The lemma behind the scale walk taking every ball it finds: a ball
+    # around an unbalanced center q * nu holds only unbalanced mu.  Every
+    # scale 2 p^k <= |mu| that the box reaches is checked, and the unbalanced
+    # points of the box show that such balls are there to be found.
+    @pytest.mark.parametrize("p, side", [(2, 25), (3, 28), (5, 40), (7, 36)])
+    def test_every_ball_holding_a_balanced_mu_has_a_balanced_center(self, p, side):
+        p = Prime(p)
+        unbalanced_hits = 0
+        for mu in box(side):
+            k = 1
+            while 2 * p**k <= mu.total:
+                hit = ball_center(mu, p, k)
+                if hit is not None and not hit.center.balanced:
+                    assert not mu.balanced, (mu, k, hit.center)
+                    unbalanced_hits += 1
+                k += 1
+        assert unbalanced_hits > 0
 
 
 class TestComputeK:

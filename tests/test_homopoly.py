@@ -67,8 +67,8 @@ def refusal_peak_bytes(build) -> int:
 # each builds a polynomial of k + 1 coefficients, k a power of 2
 DENSE_BUILDERS = {
     "monomial": lambda k: HomoPoly.monomial(2, k, 0),
-    "times_x_power": lambda k: HomoPoly(2, (1,)).times_x_power(k),
-    "times_y_power": lambda k: HomoPoly(2, (1,)).times_y_power(k),
+    "times_monomial_x": lambda k: HomoPoly(2, (1,)).times_monomial(k, 0),
+    "times_monomial_y": lambda k: HomoPoly(2, (1,)).times_monomial(0, k),
     "frobenius_scale": lambda k: HomoPoly(2, [1, 1]).frobenius_scale(k),
 }
 
@@ -105,6 +105,25 @@ class TestAdd:
             HomoPoly(3, [1]) + HomoPoly(3, [1, 1])
 
 
+class TestTimesMonomial:
+    # h = x (x + y) = x y + x^2 over F_3: x divides it once, y not at all
+    h = HomoPoly(3, [0, 1, 1])
+
+    def test_shift_and_exact_division(self):
+        assert self.h.times_monomial(2, 1).coeffs == (0, 0, 0, 1, 1, 0)
+        assert self.h.times_monomial(-1, 0) == HomoPoly(3, [1, 1])
+        assert self.h.times_monomial(2, 1).times_monomial(-3, -1) == HomoPoly(3, [1, 1])
+
+    @pytest.mark.parametrize("i, j", [(-2, 0), (-4, 0), (0, -1), (0, -4), (-1, -1), (2, -1)])
+    def test_inexact_division_raises(self, i, j):
+        with pytest.raises(ValueError, match="not divisible"):
+            self.h.times_monomial(i, j)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (2, 1), (-2, 0), (0, -5)])
+    def test_zero_shifts_to_itself(self, i, j):
+        assert HomoPoly.zero(3).times_monomial(i, j).is_zero
+
+
 class TestCanonicalResults:
     """Operations that skip the public constructor's reduction must still
     return what that constructor would build from the same coefficients."""
@@ -122,18 +141,20 @@ class TestCanonicalResults:
             d = rng.randrange(6)
             a, b = random_poly(rng, p, d), random_poly(rng, p, d)
             k = rng.randrange(4)
-            outs = [a + b, a + (-a), -a, a.times_x_power(k), a.times_y_power(k),
-                    a.times_x_power(k).div_x_power(k), a.times_y_power(k).div_y_power(k),
+            outs = [a + b, a + (-a), -a, a.times_monomial(k, 0), a.times_monomial(0, k),
+                    a.times_monomial(k, 0).times_monomial(-k, 0),
+                    a.times_monomial(0, k).times_monomial(0, -k),
+                    a.times_monomial(k, k).times_monomial(-k, k),
                     a.frobenius_scale(p), binomial_power(d, p)]
             for h in outs:
                 self.assert_canonical(h)
             assert (a + (-a)).coeffs == () and (a + (-a)).is_zero
-            assert (-a).times_x_power(k).div_x_power(k) == -a
+            assert (-a).times_monomial(k, 0).times_monomial(-k, 0) == -a
 
     def test_unreduced_top_entry_is_kept(self):
         # homogeneous vectors are not trimmed: y^2 is (1, 0, 0)
         y2 = HomoPoly.monomial(3, 0, 2)
-        for h in (y2 + y2, -y2, y2.times_y_power(1), y2.frobenius_scale(3)):
+        for h in (y2 + y2, -y2, y2.times_monomial(0, 1), y2.frobenius_scale(3)):
             self.assert_canonical(h)
             assert h.coeffs[-1] == 0
 
@@ -279,7 +300,7 @@ class TestDivisibility:
                     h = h * mono
                 assert h.divisible_by_axis(axis, k)
                 if not h.is_zero and k:
-                    recovered = h.div_x_power(k) if axis == "x" else h.div_y_power(k)
+                    recovered = h.times_monomial(-k, 0) if axis == "x" else h.times_monomial(0, -k)
                     back = recovered
                     for _ in range(k):
                         back = back * mono
@@ -356,7 +377,7 @@ class TestRemainderModLinear:
         big = HomoPoly(p, cs) * binomial_power(r, p)
         if big.is_zero:
             return
-        h = big.frobenius_scale(q).times_y_power(ys)
+        h = big.frobenius_scale(q).times_monomial(0, ys)
         if off and q > 1 and h.degree:
             cs = list(h.coeffs)
             i = data.draw(st.sampled_from([i for i in range(len(cs)) if i % q]))

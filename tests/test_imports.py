@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it never uses, and no
-module of the package or its tests imports numpy.
+"""No module of the package imports a name that it never uses, no module
+of the package or its tests imports numpy, and the package defines nothing
+that only the tests use.
 
 There is no linter among the test dependencies, so this reads each module
 with ``ast``: every name bound by an import must appear as a name in the
@@ -9,6 +10,7 @@ names only to export them, so it is checked the other way round: its
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import triarr
 
 MODULES = sorted(p for p in Path(triarr.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _annotations(tree):
@@ -98,3 +101,61 @@ def test_all_is_exactly_what_init_imports():
     assert len(exported) == len(set(exported)) and len(imported) == len(set(imported))
     assert set(exported) == set(imported)
     assert all(hasattr(triarr, name) for name in exported)
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and their classes' methods that are
+    not dunders."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return names
+
+
+def named(source: str, strings: bool = False) -> set[str]:
+    """Names the code reads or imports; with strings, also the parts of each
+    string constant that is a dotted name, as the benchmark's tracer
+    addresses functions ("derivmod.defining_poly")."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # src/ keeps only what a command or another module calls: each
+    # definition is named in the package's code (its exports in __init__ do
+    # not count), in perfbench/ or in demos/; the tests alone do not count
+    used = set().union(*(named(p.read_text()) for p in MODULES))
+    for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        used |= named(path.read_text(), strings=True)
+    unused = [f"{p.name}:{name}" for p in MODULES for name in definitions(p.read_text())
+              if name not in used]
+    assert unused == []
+
+
+def test_definition_detector():
+    source = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): return helper()\n"
+        "    def spare(self): pass\n"
+        "def helper(): pass\n"
+    )
+    assert definitions(source) == ["A", "used", "spare", "helper"]
+    assert {"helper"} <= named(source) and not {"spare", "used"} & named(source)
+    traced = 's("derivmod.defining_poly")\nprint("a b")\n'
+    assert {"derivmod", "defining_poly"} <= named(traced, strings=True)
+    assert "defining_poly" not in named(traced) and "b" not in named(traced, strings=True)

@@ -2,10 +2,12 @@
 engine or transport made wrong on purpose."""
 
 import pytest
+from test_homopoly import refusal_peak_bytes
 
-from triarr import basisfactory, oracle, verify
+from triarr import basisfactory, homopoly, oracle, verify
 from triarr.basisfactory import TransformStep
 from triarr.cli import main
+from triarr.fpcore import GuardError
 
 
 def wrong_exponents_at(monkeypatch, target):
@@ -49,6 +51,32 @@ def wrong_delta_at(monkeypatch, targets):
 def test_passing_line(args, line):
     # a changed count means the suite checks a different set of points
     assert verify.run_suite(*args).line() == line
+
+
+class TestBoxGuard:
+    # a box is a list of points to check, so it goes behind the dense-list
+    # guard: refused before the suite's first check, not after hours of them
+    @pytest.mark.parametrize("name", ["differential", "adjacency", "frobenius", "periodicity"])
+    def test_box_refused_before_it_is_listed(self, name):
+        # 1000^3 points would be a list of 10^9 multiplicities
+        assert refusal_peak_bytes(lambda: verify.run_suite(name, 2, (1000, 1000, 1000))) < 1 << 20
+
+    def test_duality_refuses_its_p2_cube_from_p13(self):
+        # (13^2 + 1)^3 = 4,913,000 points, refused before the side-13 cube runs
+        assert refusal_peak_bytes(lambda: verify.run_suite("duality", 13)) < 1 << 20
+
+    def test_box_at_the_guard_is_checked(self, monkeypatch):
+        monkeypatch.setattr(homopoly, "DENSE_ROW_GUARD", 27)
+        assert verify.run_suite("differential", 2, (2, 2, 2)).checks == 27
+        with pytest.raises(GuardError, match=r"box \(2, 2, 3\) of 36 points exceeds 27"):
+            verify.run_suite("differential", 2, (2, 2, 3))
+
+    def test_cli_exits_2_with_nothing_on_stdout(self, capsys):
+        for argv in (["-p", "2", "--box", "1000,1000,1000", "--suite", "golden,differential"],
+                     ["-p", "13", "--suite", "duality"]):
+            assert main(["verify", *argv]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "points exceeds 4194304" in err
 
 
 def test_empty_suite_list_is_refused():
