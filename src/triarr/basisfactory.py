@@ -81,10 +81,10 @@ def psi_fields(mu, p: int) -> tuple[VectorField, VectorField]:
     """The binomial pair (psi, psi_alt) for mu, without certification."""
     mu, p = basis_guard(as_multiplicity(mu)), Prime(p)
     m = mu.mu3
-    row = binomial_row(m, p, m + 1)
+    row = tuple(binomial_row(m, p, m + 1))
     k = min(mu.mu1, m + 1)  # terms x^j y^(m-j) with j < m1 go to dy
-    f, g = [0] * k + row[k:], row[:k] + [0] * (m + 1 - k)
-    psi = VectorField(HomoPoly(p, f), HomoPoly(p, g))
+    f, g = (0,) * k + row[k:], row[:k] + (0,) * (m + 1 - k)
+    psi = VectorField(*(HomoPoly._canonical(p, h if any(h) else ()) for h in (f, g)))
     mono = HomoPoly.monomial(p, mu.mu1, mu.mu2)
     psi_alt = VectorField(-mono, mono)
     return psi, psi_alt

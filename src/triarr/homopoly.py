@@ -17,6 +17,9 @@ support, the (u + 1)-order of h is q times that of its root H, so the test
 runs on H with ceil(c/q) and costs O((degree/q) * s_p(ceil(c/q))) steps
 instead of O(degree * c).  It needs no derivative, which would lose
 information in characteristic p.
+
+HomoPoly(p, coeffs) checks p and reduces coefficients that come from outside;
+HomoPoly._canonical wraps, unchecked, residues the package built itself.
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ class HomoPoly:
         """c * x^i * y^j."""
         if i < 0 or j < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        coeffs = [0] * dense_guard(i + j + 1, "a monomial")
-        coeffs[i] = c
-        return cls(p, coeffs)
+        dense_guard(i + j + 1, "a monomial")
+        p = Prime(p)
+        c = int(c) % p
+        return cls._canonical(p, (0,) * i + (c,) + (0,) * j if c else ())
 
     # -- basic structure ----------------------------------------------
 
@@ -84,14 +88,10 @@ class HomoPoly:
 
     def coeff(self, i: int) -> int:
         """Coefficient of x^i y^(degree-i); 0 outside the stored window."""
-        if self.is_zero or i < 0 or i > self.degree:
-            return 0
-        return self.coeffs[i]
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def terms(self):
         """Nonzero (i, j, c) triples, ascending x-power."""
-        if self.is_zero:
-            return
         d = self.degree
         for i, c in enumerate(self.coeffs):
             if c:
@@ -149,9 +149,9 @@ class HomoPoly:
                     out[i + j] = (out[i + j] + a * b) % p
         return HomoPoly(p, out)
 
-    def scale(self, c: int) -> "HomoPoly":
-        c %= self.p
-        return HomoPoly(self.p, [c * a % self.p for a in self.coeffs])
+    def scale(self, c: int) -> "HomoPoly":  # c != 0 mod p keeps every nonzero entry
+        p, c = self.p, c % self.p
+        return HomoPoly._canonical(p, tuple([c * a % p for a in self.coeffs]) if c else ())
 
     def times_monomial(self, i: int, j: int) -> "HomoPoly":
         """h * x^i * y^j.  A negative exponent divides, and raises ValueError
@@ -234,8 +234,7 @@ class HomoPoly:
         if self.is_zero or q == 1:
             return self
         out = [0] * dense_guard(q * self.degree + 1, "a Frobenius power")
-        for i, a in enumerate(self.coeffs):
-            out[q * i] = a
+        out[::q] = self.coeffs
         return HomoPoly._canonical(self.p, tuple(out))
 
     # -- rendering ------------------------------------------------------

@@ -524,6 +524,43 @@ class TestPlanBasis:
             assert len(trace) == hops and pair.certified
             assert calls == checks, (mu, p)
 
+    # per p: a binomial seed, an oracle answer at mu, a Dual hop, a run of
+    # shifts, and runs of lifts from a binomial seed and from an oracle seed
+    PLANNER_PATHS = {
+        2: [(2, 2, 2), (2, 5, 3), (2, 3, 3), (6, 7, 2), (4, 8, 4), (4, 12, 4)],
+        3: [(2, 2, 3), (2, 4, 2), (2, 2, 2), (6, 6, 2), (9, 27, 9), (9, 18, 9)],
+        5: [(2, 2, 3), (2, 2, 2), (2, 4, 3), (10, 10, 2), (25, 125, 25), (25, 50, 25)],
+        7: [(2, 2, 3), (2, 2, 2), (2, 6, 5), (14, 14, 2), (147, 245, 245), (49, 98, 49)],
+    }
+
+    def test_planner_builds_no_polynomial_through_the_public_constructor(self, monkeypatch):
+        # every coefficient on the planner path is a residue the package made,
+        # so none of them goes through HomoPoly.__init__'s coercion again
+        def shape(mu, p):
+            seed, binomial, trace = basisfactory._walk(Multiplicity(*mu), p)
+            runs = {(k, len(list(r)) > 1) for k, r in itertools.groupby(t.kind for t in trace)}
+            return (binomial, bool(trace)), {k for k, long in runs if long or k == "Dual"}
+
+        init, calls = HomoPoly.__init__, []
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        for p, points in self.PLANNER_PATHS.items():
+            points = points + [(0, 2, 3), (3, 0, 2)]  # seeds with an all-zero dy or dx
+            shapes = [shape(mu, p) for mu in points]
+            assert {s for s, _ in shapes} == {(True, False), (False, False), (True, True),
+                                              (False, True)}
+            assert set().union(*(kinds for _, kinds in shapes)) == {
+                "Dual", "PeriodShift", "FrobeniusLift"}
+            with monkeypatch.context() as m:
+                m.setattr(HomoPoly, "__init__", counted)
+                pairs = [plan_basis(mu, p)[0] for mu in points]
+            assert calls == [], p
+            for mu, pair in zip(points, pairs):
+                assert pair.certified and saito_check(pair.low, pair.high, mu), (mu, p)
+
     def test_scaled_euler_family(self):
         for p in (2, 3, 5):
             pair, trace = plan_basis((p, p, p), p)

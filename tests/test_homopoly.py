@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triarr import homopoly
-from triarr.basisfactory import TransformStep, psi_basis, transport
+from triarr.basisfactory import TransformStep, psi_basis, psi_fields, transport
 from triarr.fpcore import GuardError, binom_mod_p
 from triarr.homopoly import HomoPoly, binomial_power, binomial_row, frobenius_root
 
@@ -131,8 +131,9 @@ class TestCanonicalResults:
     @staticmethod
     def assert_canonical(h):
         rebuilt = HomoPoly(h.p, h.coeffs)
-        assert (h.coeffs, h.degree) == (rebuilt.coeffs, rebuilt.degree)
+        assert (h.coeffs, h.degree) == (rebuilt.coeffs, rebuilt.degree) and h == rebuilt
         assert type(h.coeffs) is tuple
+        assert h.is_zero == (h.coeffs == ()) == (not any(h.coeffs))
 
     def test_every_trusted_path(self):
         rng = random.Random(41)
@@ -141,15 +142,31 @@ class TestCanonicalResults:
             d = rng.randrange(6)
             a, b = random_poly(rng, p, d), random_poly(rng, p, d)
             k = rng.randrange(4)
+            i, j = rng.randrange(4), rng.randrange(4)
+            mu = (rng.choice([0, rng.randrange(8)]), rng.randrange(8), rng.randrange(8))
             outs = [a + b, a + (-a), -a, a.times_monomial(k, 0), a.times_monomial(0, k),
                     a.times_monomial(k, 0).times_monomial(-k, 0),
                     a.times_monomial(0, k).times_monomial(0, -k),
                     a.times_monomial(k, k).times_monomial(-k, k),
-                    a.frobenius_scale(p), binomial_power(d, p)]
+                    a.frobenius_scale(p), a.frobenius_scale(p * p), binomial_power(d, p),
+                    HomoPoly.monomial(p, i, j, rng.randrange(-3, 4) * p),
+                    HomoPoly.monomial(p, i, j, rng.randrange(-3, 4) * p - 1)]
+            outs += [a.scale(c) for c in (0, 1, -1, p - 1, p + 1, rng.randrange(-99, 99))]
+            outs += [h for field in psi_fields(mu, p) for h in (field.f, field.g)]
             for h in outs:
                 self.assert_canonical(h)
             assert (a + (-a)).coeffs == () and (a + (-a)).is_zero
             assert (-a).times_monomial(k, 0).times_monomial(-k, 0) == -a
+            assert a.scale(0).coeffs == () and a.scale(p + 1) == a
+            assert HomoPoly.monomial(p, i, j, p).coeffs == ()
+
+    def test_psi_fields_sides_that_vanish(self):
+        # m1 > m3 sends every term of (x+y)^m3 to dy, and m1 = 0 every term to dx
+        for p in PRIMES:
+            psi, _ = psi_fields((5, 0, 2), p)
+            assert psi.f.coeffs == () and psi.g == binomial_power(2, p)
+            psi, _ = psi_fields((0, 3, 4), p)
+            assert psi.f == binomial_power(4, p) and psi.g.coeffs == ()
 
     def test_unreduced_top_entry_is_kept(self):
         # homogeneous vectors are not trimmed: y^2 is (1, 0, 0)
