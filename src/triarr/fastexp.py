@@ -17,10 +17,12 @@ So for balanced mu every ball found at a scale qualifies.
 For k = 0 the gap is the parity of |mu|; for k > 0 the gap falls off
 linearly across the ball, gap = p^k - |mu - center|_1.  Either way the two
 exponents sum to |mu|, so they are (|mu| - gap) / 2 and (|mu| + gap) / 2.
-The ball is found by writing mu = p^k a + b with 0 <= b_i < p^k; which of
-four mutually exclusive cases locates it (C/D for |a| even, E/F for |a|
-odd) is kept as the tag.  Unbalanced multiplicities short-circuit:
-gap = 2 max(mu) - |mu|.
+Unbalanced multiplicities short-circuit: gap = 2 max(mu) - |mu|.
+
+The walk is one integer pass over q = p, p^2, ..., with mu and p validated
+once at the public entry point.  One divmod per coordinate writes mu = q a + b
+(0 <= b_i < q), and the one ball test, _locate, tells which of four exclusive
+cases holds mu (C/D for |a| even, E/F for |a| odd); k's case is the tag.
 """
 
 from __future__ import annotations
@@ -79,74 +81,79 @@ class CenterSet(NamedTuple):
         return self.p**self.k
 
 
-def ball_center(mu, p: int, k: int) -> BallHit | None:
-    """Locate the radius-p^k ball around p^k*(odd-sum lattice) containing mu.
+def _radius(p: int, k: int) -> int:
+    """p^k, refused beyond the desk-scale guard (k > 32 already is, as p >= 2)."""
+    if k > 32 or p**k > DEGREE_GUARD:
+        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
+    return p**k
 
-    Returns None when mu lies in no such ball.  The center is unique:
-    distinct odd-sum points are >= 2 apart in the 1-norm, so the scaled
-    open balls are disjoint.  Comparisons of halves are done as doubled
-    integers to keep everything exact.
-    """
-    mu, p = as_multiplicity(mu), Prime(p)
-    if k < 1:
-        raise ValueError("ball_center requires k >= 1")
-    q = p**k
-    alpha = Multiplicity(*(c // q for c in mu))
-    beta = Multiplicity(*(c % q for c in mu))
-    btot = beta.total
-    if alpha.total % 2 == 0:
-        for i in range(3):
-            if 2 * beta[i] > btot:
-                center = Multiplicity(
-                    *(q * (a + (1 if t == i else 0)) for t, a in enumerate(alpha))
-                )
-                return BallHit(center, "C", alpha, beta)
+
+def _locate(mu, q: int):
+    """(case, s, alpha, beta) when mu = q alpha + beta lies in the radius-q ball
+    around q (alpha + s), else None; C tests only max(beta), E only min(beta)."""
+    (a1, b1), (a2, b2), (a3, b3) = divmod(mu[0], q), divmod(mu[1], q), divmod(mu[2], q)
+    alpha, beta = (a1, a2, a3), (b1, b2, b3)
+    btot = b1 + b2 + b3
+    if (a1 + a2 + a3) % 2 == 0:
+        top = max(beta)
+        if 2 * top > btot:
+            return "C", ((1, 0, 0), (0, 1, 0), (0, 0, 1))[beta.index(top)], alpha, beta
         if btot > 2 * q:
-            center = Multiplicity(*(q * (a + 1) for a in alpha))
-            return BallHit(center, "D", alpha, beta)
+            return "D", (1, 1, 1), alpha, beta
     else:
-        ctot = 3 * q - btot  # |p^k*(1,1,1) - beta|
-        for i in range(3):
-            if 2 * (q - beta[i]) > ctot:
-                center = Multiplicity(
-                    *(q * (a + (0 if t == i else 1)) for t, a in enumerate(alpha))
-                )
-                return BallHit(center, "E", alpha, beta)
+        ctot = 3 * q - btot  # |q*(1,1,1) - beta|
+        low = min(beta)
+        if 2 * (q - low) > ctot:
+            return "E", ((0, 1, 1), (1, 0, 1), (1, 1, 0))[beta.index(low)], alpha, beta
         if ctot > 2 * q:
-            center = Multiplicity(*(q * a for a in alpha))
-            return BallHit(center, "F", alpha, beta)
+            return "F", (0, 0, 0), alpha, beta
     return None
 
 
-def _walk(mu: Multiplicity, p: int) -> tuple[int, BallHit | None]:
-    """The one scale walk for a balanced mu: the last m with 2 p^m <= |mu|
-    whose ball holds mu, and that ball; (0, None) when there is none.  Every
-    such ball has a balanced center (module docstring)."""
+def _hit(q: int, located) -> BallHit:
+    case, shift, alpha, beta = located
+    center = Multiplicity(*(q * (a + s) for a, s in zip(alpha, shift)))
+    return BallHit(center, case, Multiplicity(*alpha), Multiplicity(*beta))
+
+
+def ball_center(mu, p: int, k: int) -> BallHit | None:
+    """The radius-p^k ball around p^k*(odd-sum lattice) holding mu, or None.
+    It is unique: distinct odd-sum points are >= 2 apart in the 1-norm."""
+    mu, p = as_multiplicity(mu), Prime(p)
+    if k < 1:
+        raise ValueError("ball_center requires k >= 1")
+    q = _radius(p, k)
+    located = _locate(mu, q)
+    return located and _hit(q, located)
+
+
+def _walk(mu: Multiplicity, p: int):
+    """The scale walk for a balanced mu: the last m with 2 p^m <= |mu| whose
+    ball holds mu, and _locate's answer there, or (0, None)."""
     k, best = 0, None
-    m = 1
-    while 2 * p**m <= mu.total:
-        hit = ball_center(mu, p, m)
-        if hit is not None:
-            k, best = m, hit
-        m += 1
+    m, q, total = 1, p, mu.total
+    while 2 * q <= total:
+        located = _locate(mu, q)
+        if located is not None:
+            k, best = m, located
+        m, q = m + 1, q * p
     return k, best
 
 
 def fast_exponents(mu, p: int) -> ExponentReport:
     """Exponent gap and pair for any mu: the distance to the ball's center."""
     mu, p = as_multiplicity(mu), Prime(p)
-    total = mu.total
-    k, hit = 0, None
-    if not mu.balanced:  # the dominant line decides: gap 2 max - |mu|
+    total, balanced = mu.total, mu.balanced
+    k, located = _walk(mu, p) if balanced else (0, None)
+    hit = located and _hit(p**k, located)
+    if not balanced:  # the dominant line decides: gap 2 max - |mu|
         delta, tag, center = 2 * max(mu) - total, "Unbalanced", None
+    elif hit:
+        delta, tag, center = p**k - dist1(mu, hit.center), "Case" + hit.case, hit.center
+    elif total % 2:  # a balanced odd point outside every larger ball
+        delta, tag, center = 1, "K0Odd", mu
     else:
-        k, hit = _walk(mu, p)
-        if hit is not None:
-            delta, tag, center = p**k - dist1(mu, hit.center), "Case" + hit.case, hit.center
-        elif total % 2:  # a balanced odd point outside every larger ball
-            delta, tag, center = 1, "K0Odd", mu
-        else:
-            delta, tag, center = 0, "K0Even", None
+        delta, tag, center = 0, "K0Even", None
     return ExponentReport(
         mu=mu, p=p, delta=delta, exponents=((total - delta) // 2, (total + delta) // 2),
         tag=tag, k=k, center=center, alpha=hit and hit.alpha, beta=hit and hit.beta,
@@ -154,21 +161,10 @@ def fast_exponents(mu, p: int) -> ExponentReport:
 
 
 def delta_zero(mu, p: int) -> bool:
-    """Whether the exponent gap vanishes, decided without the case formulas.
-
-    Independent cross-check route: balanced, even total, and no qualifying
-    ball at any scale m >= 1.
-    """
+    """Whether the exponent gap vanishes, decided without the center's
+    distance: balanced, even total, and no ball on the scale walk."""
     mu, p = as_multiplicity(mu), Prime(p)
-    if not mu.balanced or mu.total % 2:
-        return False
-    m = 1
-    while 2 * p**m <= mu.total:
-        hit = ball_center(mu, p, m)
-        if hit is not None and hit.center.balanced:
-            return False
-        m += 1
-    return True
+    return mu.balanced and mu.total % 2 == 0 and _walk(mu, p)[0] == 0
 
 
 def enumerate_centers(p: int, k: int, box) -> CenterSet:
@@ -177,19 +173,15 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     A center of radius p^k is a point zeta = p^k*nu (nu balanced, |nu| odd)
     in no radius-p^m ball around p^m*(balanced odd lattice) for m > k.  The
     balls scale by p: ball_center(p^k nu, p, m) is p^k ball_center(nu, p, m-k)
-    for m > k, so zeta is a center exactly when nu's walk finds no ball.  The
-    walk reads only balanced nu, so it takes every ball it finds, and its
-    bound 2 p^m <= |nu| loses no scale, since such a ball holds only totals
-    above 2 p^m.  A box with more than CENTER_CANDIDATE_GUARD points p^k * nu
-    raises GuardError.
+    for m > k, so zeta is a center exactly when nu's walk finds no ball; the
+    walk's bound 2 p^m <= |nu| loses no scale, since such a ball holds only
+    totals above 2 p^m.  A box of over CENTER_CANDIDATE_GUARD candidates, or
+    a radius over 2^32, raises GuardError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     box, p = as_multiplicity(box), Prime(p)
-    # p >= 2, so k > 32 already exceeds the guard; no box admits such a ball
-    if k > 32 or p**k > DEGREE_GUARD:
-        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
-    q = p**k
+    q = _radius(p, k)
     if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
         raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")
     centers = []  # ascending, since nu runs through the box in order

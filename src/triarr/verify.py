@@ -76,7 +76,7 @@ def _unless(ok: bool, text: str) -> str | None:
 
 def _differential(p: int, box, seed: int) -> Checks:
     """fast_exponents == oracle_exponents on the whole box, plus parity and
-    the independent zero-gap route."""
+    delta_zero: the walk's zero-gap answer, made without the center's distance."""
     for mu in _box_points(box or ((10, 10, 10) if p >= 5 else (12, 12, 12))):
         report = fastexp.fast_exponents(mu, p)
         d1, d2, pair = oracle.oracle_exponents(mu, p)

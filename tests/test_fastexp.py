@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from digit_helpers import s_index
 
@@ -5,7 +8,7 @@ from triarr import fastexp
 from triarr.basisfactory import gamma_slice
 from triarr.derivmod import Multiplicity, as_multiplicity, dist1
 from triarr.fastexp import ball_center, delta_zero, enumerate_centers, fast_exponents
-from triarr.fpcore import Prime
+from triarr.fpcore import GuardError, Prime
 from triarr.oracle import oracle_delta, oracle_exponents
 
 
@@ -65,6 +68,23 @@ class TestDecompose:
     def test_requires_positive_k(self):
         with pytest.raises(ValueError, match="ball_center requires k >= 1"):
             ball_center((1, 1, 1), 3, 0)
+
+    def test_radius_beyond_the_guard_is_refused(self):
+        # center radii p^k are capped at 2^32, as in enumerate_centers; the
+        # refusal comes before p^k is formed, so k = 10^9 returns at once
+        for p, k in [(3, 33), (3, 10**9), (2, 33), (3, 21)]:
+            with pytest.raises(GuardError, match=f"radius {p}\\^{k} exceeds"):
+                ball_center((1, 1, 1), p, k)
+
+    def test_radius_inside_the_guard_answers_as_before(self):
+        assert ball_center((1, 1, 1), 2, 32) is None
+        assert ball_center((1, 1, 1), 3, 20) is None
+        hit = ball_center((0, 0, 1), 3, 20)
+        assert hit.center == (0, 0, 3**20) and hit.case == "C"
+        assert (hit.alpha, hit.beta) == ((0, 0, 0), (0, 0, 1))
+        q = 2**30
+        hit = ball_center((q, q, q), 2, 30)
+        assert hit.center == (q, q, q) and hit.case == "F"
 
 
 class TestBallCenter:
@@ -142,10 +162,10 @@ class TestComputeK:
 
     def test_rejects_unbalanced(self, monkeypatch):
         # an unbalanced mu walks no scale: k = 0 without a ball search
-        def no_search(mu, p, k):
+        def no_search(mu, q):
             raise AssertionError("ball search on an unbalanced mu")
 
-        monkeypatch.setattr(fastexp, "ball_center", no_search)
+        monkeypatch.setattr(fastexp, "_locate", no_search)
         r = fast_exponents((5, 0, 0), 3)
         assert r.k == 0 and r.tag == "Unbalanced"
 
@@ -160,14 +180,55 @@ class TestFastExponents:
     def test_one_ball_search_per_scale(self, monkeypatch):
         # |mu| = 124 admits the scales 3, 9 and 27 (2 * 81 > 124)
         scales = []
+        locate = fastexp._locate
 
-        def counting(mu, p, k):
-            scales.append(k)
-            return ball_center(mu, p, k)
+        def counting(mu, q):
+            scales.append(q)
+            return locate(mu, q)
 
-        monkeypatch.setattr(fastexp, "ball_center", counting)
+        monkeypatch.setattr(fastexp, "_locate", counting)
         assert fast_exponents((41, 52, 31), 3).k == 3
-        assert scales == [1, 2, 3]
+        assert scales == [3, 9, 27]
+
+    def test_arguments_are_validated_once_per_call(self, monkeypatch):
+        calls = []
+        coerce = fastexp.as_multiplicity
+        monkeypatch.setattr(fastexp, "as_multiplicity", lambda mu: calls.append(mu) or coerce(mu))
+        fast_exponents((41, 52, 31), 3)
+        assert len(calls) == 1
+        calls.clear()
+        enumerate_centers(3, 1, (60, 60, 60))
+        assert len(calls) == 1
+
+    def test_walk_matches_ball_center_at_large_totals(self):
+        # the walk's loop bound and last-hit rule, checked against the public
+        # ball_center at every scale, on balanced mu with |mu| up to 10^9
+        rng = random.Random(21)
+        tags = set()
+        for _ in range(2500):
+            p = Prime(rng.choice((2, 3, 5, 7, 11)))
+            total = int(math.exp(rng.uniform(math.log(2), math.log(1e9))))
+            while True:
+                a, b = sorted((rng.randint(0, total), rng.randint(0, total)))
+                mu = Multiplicity(a, b - a, total - b)
+                if mu.balanced:
+                    break
+            k, hit, m = 0, None, 1
+            while 2 * p**m <= total:
+                found = ball_center(mu, p, m)
+                if found is not None:
+                    k, hit = m, found
+                m += 1
+            r = fast_exponents(mu, p)
+            tags.add(r.tag)
+            assert r.k == k, (mu, p)
+            if hit is None:
+                assert r.tag in ("K0Odd", "K0Even") and r.alpha is r.beta is None
+            else:
+                assert r.tag == "Case" + hit.case, (mu, p)
+                assert (r.center, r.alpha, r.beta) == (hit.center, hit.alpha, hit.beta)
+            assert delta_zero(mu, p) == (r.delta == 0), (mu, p)
+        assert {"CaseC", "CaseD", "CaseE", "CaseF"} <= tags
 
     def test_euler_point(self):
         for p in (2, 3, 5, 7):
