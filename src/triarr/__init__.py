@@ -31,10 +31,8 @@ from .derivmod import (
     saito_check,
 )
 from .fastexp import (
-    BallHit,
     CenterSet,
     ExponentReport,
-    ball_center,
     delta_zero,
     enumerate_centers,
     fast_exponents,
@@ -52,7 +50,6 @@ from .oracle import oracle_delta, oracle_exponents, slice_dim
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallHit",
     "BasisPair",
     "CenterSet",
     "CertificationError",
@@ -66,7 +63,6 @@ __all__ = [
     "TransformStep",
     "VectorField",
     "as_multiplicity",
-    "ball_center",
     "binom_mod_p",
     "binomial_power",
     "defining_poly",

@@ -37,7 +37,7 @@ from .derivmod import (
     basis_guard,
     saito_check,
 )
-from .fpcore import Prime, g_set, least_dominated
+from .fpcore import DEGREE_GUARD, GuardError, Prime, g_set, least_dominated
 from .homopoly import HomoPoly, binomial_row
 from .oracle import oracle_exponents
 
@@ -126,11 +126,17 @@ def gamma_slice(m: int, p: int) -> GammaSlice:
     With G_m = g_0 < ... < g_t (so g_i + g_(t-i) = m), the maximal elements
     are (g_i, g_(t-i+1), m) for 1 <= i <= t and the minimal complement is
     (g_i + 1, g_(t-i) + 1, m) for 0 <= i <= t; each of the latter has
-    m1 + m2 = m + 2 and exponent gap 0.
+    m1 + m2 = m + 2 and exponent gap 0.  A level whose points would pass
+    the |mu| cap of 2^32 raises GuardError.
     """
     if m < 1:
         raise ValueError("gamma_slice requires m >= 1")
+    if 2 * m + 2 > DEGREE_GUARD:  # |mu| of every minimal non-member
+        raise GuardError(f"|mu| = {2 * m + 2} at level {m} exceeds the desk-scale guard")
     gs = g_set(m, p)
+    top = 2 * m + max(b - a for a, b in zip(gs, gs[1:]))  # largest maximal-member |mu|
+    if top > DEGREE_GUARD:
+        raise GuardError(f"|mu| = {top} at level {m} exceeds the desk-scale guard")
     t = len(gs) - 1
     return GammaSlice(
         m, p,

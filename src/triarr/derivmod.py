@@ -30,7 +30,9 @@ from .homopoly import HomoPoly, binomial_power, dense_guard, frobenius_root
 class CertificationError(RuntimeError):
     """A pair that must certify as a basis failed Saito's criterion.
 
-    This always signals an implementation bug, never a mathematical failure.
+    On the planner, oracle and psi_basis paths it signals a bug.  From
+    transport it is the certificate's verdict on the caller's input: a pair
+    that is not a basis for mu, or a PeriodShift outside m3 <= p^d.
     """
 
 

@@ -41,15 +41,6 @@ filter_stats = {"unbalanced_center_rejections": 0}
 CENTER_CANDIDATE_GUARD = 1 << 23
 
 
-class BallHit(NamedTuple):
-    """The unique radius-p^k ball around p^k*(odd lattice) containing mu."""
-
-    center: Multiplicity
-    case: str  # one of "C", "D", "E", "F"
-    alpha: Multiplicity  # mu = p^k * alpha + beta, 0 <= beta_i < p^k
-    beta: Multiplicity
-
-
 class ExponentReport(NamedTuple):
     """Exponent gap, exponent pair and component geometry for one mu."""
 
@@ -81,13 +72,6 @@ class CenterSet(NamedTuple):
         return self.p**self.k
 
 
-def _radius(p: int, k: int) -> int:
-    """p^k, refused beyond the desk-scale guard (k > 32 already is, as p >= 2)."""
-    if k > 32 or p**k > DEGREE_GUARD:
-        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
-    return p**k
-
-
 def _locate(mu, q: int):
     """(case, s, alpha, beta) when mu = q alpha + beta lies in the radius-q ball
     around q (alpha + s), else None; C tests only max(beta), E only min(beta)."""
@@ -110,23 +94,6 @@ def _locate(mu, q: int):
     return None
 
 
-def _hit(q: int, located) -> BallHit:
-    case, shift, alpha, beta = located
-    center = Multiplicity(*(q * (a + s) for a, s in zip(alpha, shift)))
-    return BallHit(center, case, Multiplicity(*alpha), Multiplicity(*beta))
-
-
-def ball_center(mu, p: int, k: int) -> BallHit | None:
-    """The radius-p^k ball around p^k*(odd-sum lattice) holding mu, or None.
-    It is unique: distinct odd-sum points are >= 2 apart in the 1-norm."""
-    mu, p = as_multiplicity(mu), Prime(p)
-    if k < 1:
-        raise ValueError("ball_center requires k >= 1")
-    q = _radius(p, k)
-    located = _locate(mu, q)
-    return located and _hit(q, located)
-
-
 def _walk(mu: Multiplicity, p: int):
     """The scale walk for a balanced mu: the last m with 2 p^m <= |mu| whose
     ball holds mu, and _locate's answer there, or (0, None)."""
@@ -145,18 +112,21 @@ def fast_exponents(mu, p: int) -> ExponentReport:
     mu, p = as_multiplicity(mu), Prime(p)
     total, balanced = mu.total, mu.balanced
     k, located = _walk(mu, p) if balanced else (0, None)
-    hit = located and _hit(p**k, located)
+    alpha = beta = None
     if not balanced:  # the dominant line decides: gap 2 max - |mu|
         delta, tag, center = 2 * max(mu) - total, "Unbalanced", None
-    elif hit:
-        delta, tag, center = p**k - dist1(mu, hit.center), "Case" + hit.case, hit.center
+    elif located:
+        case, shift, a, b = located  # mu = q a + b, in the ball around q (a + shift)
+        alpha, beta, q = Multiplicity(*a), Multiplicity(*b), p**k
+        center = Multiplicity(*(q * (x + s) for x, s in zip(a, shift)))
+        delta, tag = q - dist1(mu, center), "Case" + case
     elif total % 2:  # a balanced odd point outside every larger ball
         delta, tag, center = 1, "K0Odd", mu
     else:
         delta, tag, center = 0, "K0Even", None
     return ExponentReport(
         mu=mu, p=p, delta=delta, exponents=((total - delta) // 2, (total + delta) // 2),
-        tag=tag, k=k, center=center, alpha=hit and hit.alpha, beta=hit and hit.beta,
+        tag=tag, k=k, center=center, alpha=alpha, beta=beta,
     )
 
 
@@ -172,8 +142,9 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
 
     A center of radius p^k is a point zeta = p^k*nu (nu balanced, |nu| odd)
     in no radius-p^m ball around p^m*(balanced odd lattice) for m > k.  The
-    balls scale by p: ball_center(p^k nu, p, m) is p^k ball_center(nu, p, m-k)
-    for m > k, so zeta is a center exactly when nu's walk finds no ball; the
+    balls scale by p: _locate(p^k nu, p^m) finds a ball exactly when
+    _locate(nu, p^(m-k)) does, with the same case and alpha and p^k times
+    the beta, so zeta is a center exactly when nu's walk finds no ball; the
     walk's bound 2 p^m <= |nu| loses no scale, since such a ball holds only
     totals above 2 p^m.  A box of over CENTER_CANDIDATE_GUARD candidates, or
     a radius over 2^32, raises GuardError.
@@ -181,7 +152,9 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     if k < 0:
         raise ValueError("k must be nonnegative")
     box, p = as_multiplicity(box), Prime(p)
-    q = _radius(p, k)
+    if k > 32 or p**k > DEGREE_GUARD:  # k first: k = 10^9 forms no p^k
+        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
+    q = p**k
     if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
         raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")
     centers = []  # ascending, since nu runs through the box in order

@@ -69,15 +69,6 @@ def digits(m: int, p: int) -> list[int]:
     return out
 
 
-def from_digits(ds, p: int) -> int:
-    """Inverse of :func:`digits`."""
-    p = Prime(p)
-    value = 0
-    for d in reversed(list(ds)):
-        value = value * p + d
-    return value
-
-
 def binom_mod_p(m: int, j: int, p: int) -> int:
     """Binomial coefficient C(m, j) mod p via the Lucas digit product.
 
@@ -126,12 +117,12 @@ def least_dominated(m: int, lo: int, p: int) -> int | None:
     lo = max(lo, 0)
     if lo > m:
         return None
-    md, ld = digits(m, p), digits(lo, p)
-    ld += [0] * (len(md) - len(ld))
-    top = next((i for i in reversed(range(len(md))) if ld[i] > md[i]), None)
-    if top is None:
-        return lo
-    for k in range(top + 1, len(md)):
-        if ld[k] < md[k]:
-            return from_digits([0] * k + [ld[k] + 1] + ld[k + 1 :], p)
-    return None
+    q, rest, room, exceeded = 1, lo, None, False
+    while m:  # q = p^i at digit i; room is the lowest q with room above an excess
+        (m, cm), (rest, cl) = divmod(m, p), divmod(rest, p)
+        if cl > cm:
+            room, exceeded = None, True
+        elif cl < cm and room is None:
+            room = q
+        q *= p
+    return room and (lo // room + 1) * room if exceeded else lo

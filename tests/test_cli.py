@@ -352,6 +352,28 @@ class TestGamma:
         code, out, err = run(capsys, "gamma", "-p", "3", "-m", "0")
         assert code == 2 and out == "" and "gamma_slice requires m >= 1" in err
 
+    def test_level_past_the_mu_cap_exits_2(self, capsys, monkeypatch):
+        # 7^11: the maximal member (m, m, m) has |mu| = 3m > 2^32.  2^31: each
+        # minimal non-member has |mu| = 2m + 2 > 2^32, refused before G_m
+        for p, m, g_sets in (("7", 7**11, [7**11]), ("2", 2**31, [])):
+            calls = []
+            monkeypatch.setattr(basisfactory, "g_set",
+                                lambda m, p: calls.append(m) or fpcore.g_set(m, p))
+            for fmt in ("text", "json"):
+                calls.clear()
+                code, out, err = run(capsys, "gamma", "-p", p, "-m", str(m), "--format", fmt)
+                assert code == 2 and out == "" and "exceeds the desk-scale guard" in err
+                assert calls == g_sets
+
+    def test_level_at_the_mu_cap_answers(self, capsys):
+        # 3^19: the largest |mu| is 3^20 <= 2^32
+        m = 3**19
+        code, out, _ = run(capsys, "gamma", "-p", "3", "-m", str(m))
+        assert code == 0 and out == (
+            f"m: {m}\ng_set: [0, {m}]\ns_set: [({m}, {m}, {m})]\n"
+            f"b_set: [(1, {m + 1}, {m}), ({m + 1}, 1, {m})]\n"
+        )
+
     def test_membership_flag(self, capsys):
         code, out, _ = run(capsys, "gamma", "-p", "3", "-m", "4", "--mu", "3,3,4")
         assert code == 0 and "member((3, 3, 4)): true" in out

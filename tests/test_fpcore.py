@@ -1,7 +1,8 @@
 import math
+import random
 
 import pytest
-from digit_helpers import s_index
+from digit_helpers import least_dominated_by_digit_lists, s_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from triarr.fpcore import (
     Prime,
     binom_mod_p,
     digits,
-    from_digits,
     g_set,
     is_prime,
     least_dominated,
@@ -57,14 +57,12 @@ class TestPrime:
 # the unbalanced mu, lo > m and the golden suite return before any use of p
 REFUSALS = {
     "digits": lambda p: digits(10, p),
-    "from_digits": lambda p: from_digits([1, 2], p),
     "binom_mod_p": lambda p: binom_mod_p(10, 3, p),
     "g_set": lambda p: g_set(10, p),
     "least_dominated": lambda p: least_dominated(10, 20, p),
     "binomial_row": lambda p: homopoly.binomial_row(10, p, 5),
     "binomial_power": lambda p: triarr.binomial_power(10, p),
     "defining_poly": lambda p: triarr.defining_poly((1, 2, 3), p),
-    "ball_center": lambda p: triarr.ball_center((5, 5, 6), p, 1),
     "fast_exponents": lambda p: triarr.fast_exponents((5, 5, 6), p),
     "fast_exponents_unbalanced": lambda p: triarr.fast_exponents((9, 0, 0), p),
     "delta_zero": lambda p: triarr.delta_zero((4, 4, 4), p),
@@ -108,7 +106,7 @@ class TestDigits:
         ds = digits(m, p)
         assert all(0 <= c < p for c in ds)
         assert not ds or ds[-1] != 0
-        assert from_digits(ds, p) == m
+        assert sum(c * p**i for i, c in enumerate(ds)) == m
 
 
 class TestSIndex:
@@ -201,3 +199,21 @@ class TestLeastDominated:
         # G_(2^30) = {0, 2^30}: the walk jumps over 2^30 - 1 zero binomials
         assert least_dominated(1 << 30, 1, 2) == 1 << 30
         assert least_dominated(1 << 30, (1 << 30) + 1, 2) is None
+
+    def test_matches_the_digit_list_reference(self):
+        # the seeded points cover the largest Prime and |mu|'s 2^32 cap
+        rng = random.Random(23)
+        primes = [Prime(p) for p in (2, 3, 5, 7, 11, 2147483647)]
+        for _ in range(20000):
+            p = rng.choice(primes)
+            m = rng.randint(0, rng.choice((30, 10**4, 10**9, 1 << 32)))
+            lo = rng.randint(-2, m + 2)
+            assert least_dominated(m, lo, p) == least_dominated_by_digit_lists(m, lo, p), (m, lo, p)
+
+    def test_reads_the_digits_in_one_pass(self, monkeypatch):
+        # no digit vector is built: m and lo are read together, lowest digit first
+        calls = []
+        monkeypatch.setattr(fpcore, "digits", lambda m, p: calls.append(m) or digits(m, p))
+        assert least_dominated(34, 5, 3) == 6  # 34 = (1021)_3, 5 = (12)_3, 6 = (20)_3
+        assert triarr.gamma_membership((10, 25, 34), 3)
+        assert calls == []

@@ -1,6 +1,7 @@
 """No module of the package imports a name that it never uses, no module
 of the package or its tests imports numpy, and the package defines nothing
-that only the tests use.
+that only the tests use, or, but for one pinned exception, only a quoted
+benchmark name.
 
 There is no linter among the test dependencies, so this reads each module
 with ``ast``: every name bound by an import must appear as a name in the
@@ -134,16 +135,33 @@ def named(source: str, strings: bool = False) -> set[str]:
     return names
 
 
-def test_every_definition_is_named_outside_the_tests():
-    # src/ keeps only what a command or another module calls: each
-    # definition is named in the package's code (its exports in __init__ do
-    # not count), in perfbench/ or in demos/; the tests alone do not count
+def named_outside_the_tests(strings: bool) -> set[str]:
+    """Names read by the package's code (its exports in __init__ do not
+    count), perfbench/ and demos/; with strings, also the latter two's
+    dotted string constants."""
     used = set().union(*(named(p.read_text()) for p in MODULES))
     for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
-        used |= named(path.read_text(), strings=True)
+        used |= named(path.read_text(), strings=strings)
+    return used
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # src/ keeps only what a command or another module calls; the tests
+    # alone do not count
+    used = named_outside_the_tests(strings=True)
     unused = [f"{p.name}:{name}" for p in MODULES for name in definitions(p.read_text())
               if name not in used]
     assert unused == []
+
+
+def test_no_definition_is_kept_only_by_a_quoted_name():
+    # a tracer name such as "fastexp.ball_center" reaches only Tracer.stats
+    # and HOOKS.get, which both tolerate a missing function, so it is no
+    # caller.  defining_poly is the one exception: test_perfbench pins
+    # derivmod's binomial_power binding through it (ROADMAP item 1).
+    quoted_only = named_outside_the_tests(strings=True) - named_outside_the_tests(strings=False)
+    kept = {name for p in MODULES for name in definitions(p.read_text()) if name in quoted_only}
+    assert kept == {"defining_poly"}
 
 
 def test_definition_detector():
