@@ -35,9 +35,9 @@ from .derivmod import (
     VectorField,
     as_multiplicity,
     basis_guard,
-    saito_check,
+    certify,
 )
-from .fpcore import DEGREE_GUARD, GuardError, Prime, g_set, least_dominated
+from .fpcore import DEGREE_GUARD, GuardError, Prime, g_set, guarded_power, least_dominated
 from .homopoly import HomoPoly, binomial_row
 from .oracle import oracle_exponents
 
@@ -100,14 +100,6 @@ def _normalized(pair: BasisPair) -> BasisPair:
     return BasisPair(low, pair.high, certified=pair.certified)
 
 
-def _certified_pair(t1: VectorField, t2: VectorField, mu) -> BasisPair:
-    if (t1.degree or 0) > (t2.degree or 0):
-        t1, t2 = t2, t1
-    if not saito_check(t1, t2, mu):
-        raise CertificationError(f"pair failed certification for {tuple(mu)}")
-    return _normalized(BasisPair(t1, t2, certified=True))
-
-
 def psi_basis(mu, p: int) -> BasisPair:
     """Certified binomial basis; exponents are {m, m1+m2}.
 
@@ -117,7 +109,7 @@ def psi_basis(mu, p: int) -> BasisPair:
     mu, p = as_multiplicity(mu), Prime(p)
     if not gamma_membership(mu, p):
         raise NotInGammaError(f"binomial pair is not a basis at {tuple(mu)}")
-    return _certified_pair(*psi_fields(mu, p), mu)
+    return _normalized(certify(*psi_fields(mu, p), mu))
 
 
 def gamma_slice(m: int, p: int) -> GammaSlice:
@@ -160,13 +152,13 @@ def _hop(fields, mu: Multiplicity, step: TransformStep, n: int = 1):
         q = step.param**n
         target, move = mu.scaled(q), lambda t: t.frobenius(q)
     elif step.kind == "PeriodShift":
-        s = n * p**step.param
+        s = n * guarded_power(p, step.param, "shift")
         target = Multiplicity(m1 + s, m2 + s, m3)
         move = lambda t: VectorField(
             t.f.times_monomial(s, 0), (-t.g if n % 2 else t.g).times_monomial(0, s)
         )
     else:
-        e = p**step.param
+        e = guarded_power(p, step.param, "cube side")
         target = dual_multiplicity(mu, p, step.param)
         move = lambda t: VectorField(
             t.g.times_monomial(e - m1, -m2), (-t.f).times_monomial(-m1, e - m2)
@@ -190,13 +182,13 @@ def transport(pair: BasisPair, mu, step: TransformStep) -> tuple[BasisPair, Mult
     if least is None or step.param < least:  # frobenius_scale rejects q not a power of p
         raise ValueError(f"{step} is not a transport: FrobeniusLift needs q >= {p}, others d >= 1")
     fields, target = _hop(pair[:2], as_multiplicity(mu), step)
-    return _certified_pair(*fields, target), target
+    return _normalized(certify(*fields, target)), target
 
 
 def dual_multiplicity(mu, p: int, d: int) -> Multiplicity:
-    """(p^d - m1, p^d - m2, m3); requires mu inside the cube of side p^d."""
+    """(p^d - m1, p^d - m2, m3); requires mu inside the cube of side p^d <= 2^32."""
     mu, p = as_multiplicity(mu), Prime(p)
-    e = p**d
+    e = guarded_power(p, d, "cube side")
     if max(mu) > e:
         raise ValueError(f"{tuple(mu)} is not inside the cube of side {e}")
     return Multiplicity(e - mu.mu1, e - mu.mu2, mu.mu3)
@@ -256,7 +248,7 @@ def plan_basis(mu, p: int) -> tuple[BasisPair, list[TransformStep]]:
         for step, run in groupby(trace):
             fields, seed = _hop(fields, seed, step, len(list(run)))
         try:
-            return _certified_pair(*fields, mu), trace
+            return _normalized(certify(*fields, mu)), trace
         except CertificationError:
             trace = []
     return _normalized(oracle_exponents(mu, p)[2]), trace

@@ -21,6 +21,7 @@ f1[m1] g2[0] - f2[m1] g1[0]: the criterion costs two memberships and O(1).
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .fpcore import DEGREE_GUARD, GuardError, Prime
@@ -30,9 +31,9 @@ from .homopoly import HomoPoly, binomial_power, dense_guard, frobenius_root
 class CertificationError(RuntimeError):
     """A pair that must certify as a basis failed Saito's criterion.
 
-    On the planner, oracle and psi_basis paths it signals a bug.  From
-    transport it is the certificate's verdict on the caller's input: a pair
-    that is not a basis for mu, or a PeriodShift outside m3 <= p^d.
+    certify is its only raiser.  On the planner, oracle and psi_basis paths
+    it signals a bug; from transport it is the certificate's verdict on the
+    caller's input: a non-basis for mu, or a PeriodShift outside m3 <= p^d.
     """
 
 
@@ -57,12 +58,12 @@ class Multiplicity(NamedTuple):
 
 
 def as_multiplicity(value) -> Multiplicity:
-    """Coerce a triple to a validated Multiplicity."""
+    """Coerce a triple of integers to a validated Multiplicity (TypeError otherwise)."""
     if isinstance(value, Multiplicity):
         mu = value
     else:
         a, b, c = value
-        mu = Multiplicity(int(a), int(b), int(c))
+        mu = Multiplicity(index(a), index(b), index(c))
     if min(mu) < 0:
         raise ValueError(f"multiplicities must be nonnegative, got {tuple(mu)}")
     if mu.total > DEGREE_GUARD:
@@ -183,9 +184,13 @@ def defining_poly(mu, p: int) -> HomoPoly:
 
 def in_module(theta: VectorField, mu) -> bool:
     """Membership of theta in the logarithmic module of multiplicity mu.
-    theta(x + y) = f + g is formed at the common Frobenius root: (F + G)^q."""
+
+    The (x+y)^m3 test takes the one Frobenius root of the pair: when every
+    nonzero coefficient of f and g sits at an x-power divisible by q = p^k,
+    then f + g = (F + G)^q over F_p, as H(u^q) = H(u)^q, and (x+y)^m3 divides
+    it iff (x+y)^ceil(m3/q) divides F + G: O((degree/q) s_p(ceil(m3/q))) steps."""
     mu = as_multiplicity(mu)
-    if not (theta.f.divisible_by_axis("x", mu.mu1) and theta.g.divisible_by_axis("y", mu.mu2)):
+    if not (theta.f.divisible_by_monomial(mu.mu1, 0) and theta.g.divisible_by_monomial(0, mu.mu2)):
         return False
     q, (f, g) = frobenius_root(theta.f, theta.g)
     return (f + g).divisible_by_linear_power(-(-mu.mu3 // q))
@@ -204,3 +209,13 @@ def saito_check(t1: VectorField, t2: VectorField, mu) -> bool:
         return False
     m1 = mu.mu1
     return (t1.f.coeff(m1) * t2.g.coeff(0) - t2.f.coeff(m1) * t1.g.coeff(0)) % t1.p != 0
+
+
+def certify(t1: VectorField, t2: VectorField, mu) -> BasisPair:
+    """The pair, ordered by degree, as the package's only certified BasisPair
+    once saito_check accepts it; raises CertificationError otherwise."""
+    if (t1.degree or 0) > (t2.degree or 0):
+        t1, t2 = t2, t1
+    if not saito_check(t1, t2, mu):
+        raise CertificationError(f"pair failed certification for {tuple(mu)}")
+    return BasisPair(t1, t2, certified=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .derivmod import Multiplicity, as_multiplicity, dist1
-from .fpcore import DEGREE_GUARD, GuardError, Prime
+from .fpcore import GuardError, Prime, guarded_power
 
 # Scales rejected for an unbalanced center; the benchmark reads it.  It stays
 # 0: no such ball holds a balanced mu (module docstring).
@@ -152,9 +152,7 @@ def enumerate_centers(p: int, k: int, box) -> CenterSet:
     if k < 0:
         raise ValueError("k must be nonnegative")
     box, p = as_multiplicity(box), Prime(p)
-    if k > 32 or p**k > DEGREE_GUARD:  # k first: k = 10^9 forms no p^k
-        raise GuardError(f"radius {p}^{k} exceeds the desk-scale guard")
-    q = p**k
+    q = guarded_power(p, k, "radius")
     if (box.mu1 // q + 1) * (box.mu2 // q + 1) * (box.mu3 // q + 1) > CENTER_CANDIDATE_GUARD:
         raise GuardError(f"box {tuple(box)} exceeds the {CENTER_CANDIDATE_GUARD}-candidate guard")
     centers = []  # ascending, since nu runs through the box in order

@@ -9,6 +9,7 @@ residues) and the digit-dominance set G_m.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 # Desk-scale guardrails: |mu| and ball radii stay at most 2^32, digit-dominance
 # sets at most 2^20 entries.
@@ -23,6 +24,13 @@ DENSE_ROW_GUARD = 1 << 22
 
 class GuardError(ValueError):
     """Input would exceed the desk-scale guard for this operation."""
+
+
+def guarded_power(p: int, k: int, what: str) -> int:
+    """p^k for k >= 0, refused with GuardError past DEGREE_GUARD before it is formed."""
+    if k > 32 or p**k > DEGREE_GUARD:  # k first: past 32, p^k >= 2^33 is never formed
+        raise GuardError(f"{what} {p}^{k} exceeds the desk-scale guard")
+    return p**k
 
 
 def is_prime(n: int) -> bool:
@@ -42,14 +50,14 @@ def is_prime(n: int) -> bool:
 
 
 class Prime(int):
-    """A validated prime modulus; behaves exactly like the underlying int.
-    Public functions that take p validate it here; a Prime is returned as
-    it is, so nested calls repeat no trial division."""
+    """A validated prime modulus (a non-integer raises TypeError); behaves
+    exactly like the underlying int.  Public functions that take p validate it
+    here; a Prime is returned as it is, so nested calls repeat no trial division."""
 
     def __new__(cls, p) -> "Prime":
         if isinstance(p, Prime):
             return p
-        p = int(p)
+        p = index(p)
         if p >= 1 << 31:
             raise GuardError(f"modulus {p} exceeds the supported 31-bit range")
         if not is_prime(p):

@@ -5,24 +5,21 @@ with a_j the coefficient of x^j y^(d-j); coefficients are canonical residues
 in [0, p).  The zero polynomial is a distinguished degreeless value so that
 divisibility tests need no fake degree bookkeeping.
 
-The three divisibility tests that define logarithmic membership live here:
-by x^k and y^k (coefficient-window checks) and by (x+y)^c.  The latter
+The two divisibility tests that define logarithmic membership live here:
+by x^i y^j (a coefficient-window check) and by (x+y)^c.  The latter
 divides the dehomogenization h(u, 1), which loses nothing because x + y is
 coprime to y.  Over F_p, Frobenius gives (u + 1)^(p^i) = u^(p^i) + 1, so
 (u + 1)^c is the product of s_p(c) sparse factors u^q + 1, one per unit of
 each base-p digit of c; exact division by each is a stride-q recurrence.
-Frobenius also gives H(u^q) = H(u)^q: when every nonzero coefficient of h
-sits at an x-power divisible by q = p^k, the Frobenius stride of its
-support, the (u + 1)-order of h is q times that of its root H, so the test
-runs on H with ceil(c/q) and costs O((degree/q) * s_p(ceil(c/q))) steps
-instead of O(degree * c).  It needs no derivative, which would lose
-information in characteristic p.
+It needs no derivative, which would lose information in characteristic p.
 
 HomoPoly(p, coeffs) checks p and reduces coefficients that come from outside;
 HomoPoly._canonical wraps, unchecked, residues the package built itself.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .fpcore import DENSE_ROW_GUARD, GuardError, Prime, binom_mod_p, digits
 
@@ -41,12 +38,12 @@ class HomoPoly:
     __slots__ = ("p", "degree", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        """Build from an ascending-in-x coefficient vector.
+        """Build from an ascending-in-x coefficient vector of integers.
 
         An empty or all-zero vector yields the zero polynomial.
         """
         p = Prime(p)
-        cs = tuple(map(p.__rmod__, map(int, coeffs)))
+        cs = tuple(map(p.__rmod__, map(index, coeffs)))
         if not any(cs):
             cs = ()
         self.p = p
@@ -77,7 +74,7 @@ class HomoPoly:
             raise ValueError("monomial exponents must be nonnegative")
         dense_guard(i + j + 1, "a monomial")
         p = Prime(p)
-        c = int(c) % p
+        c = index(c) % p
         return cls._canonical(p, (0,) * i + (c,) + (0,) * j if c else ())
 
     # -- basic structure ----------------------------------------------
@@ -160,24 +157,19 @@ class HomoPoly:
             return self
         dense_guard(len(self.coeffs) + i + j, "a product")
         a, b = max(-i, 0), max(-j, 0)
-        if not (self.divisible_by_axis("x", a) and self.divisible_by_axis("y", b)):
+        if not self.divisible_by_monomial(a, b):
             raise ValueError(f"not divisible by x^{a}*y^{b}")
         cs = self.coeffs[a : len(self.coeffs) - b]
         return HomoPoly._canonical(self.p, (0,) * (i + a) + cs + (0,) * (j + b))
 
     # -- divisibility and Frobenius ------------------------------------
 
-    def divisible_by_axis(self, axis: str, k: int) -> bool:
-        """Whether x^k (axis 'x') or y^k (axis 'y') divides this polynomial."""
-        if axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
-        if k <= 0 or self.is_zero:
+    def divisible_by_monomial(self, i: int, j: int) -> bool:
+        """Whether x^i y^j divides h (i, j >= 0): its first i and last j coefficients vanish."""
+        if self.is_zero:
             return True
-        d = self.degree
-        if k > d:
-            return False
-        window = self.coeffs[:k] if axis == "x" else self.coeffs[d - k + 1 :]
-        return not any(window)
+        cs = self.coeffs
+        return i + j < len(cs) and not (any(cs[:i]) or any(cs[len(cs) - j :]))
 
     def remainder_mod_linear(self, c: int) -> list[int]:
         """c residues that all vanish exactly when (x + y)^c divides h.
@@ -210,13 +202,10 @@ class HomoPoly:
         return out
 
     def divisible_by_linear_power(self, c: int) -> bool:
-        """Whether (x + y)^c divides this polynomial: whether (u + 1)^ceil(c/q)
-        divides its Frobenius root H, as h(u, 1) = H(u, 1)^q."""
+        """Whether (x + y)^c divides this polynomial."""
         if c <= 0 or self.is_zero:
             return True
-        q, (root,) = frobenius_root(self)
-        c = -(-c // q)
-        return c <= root.degree and not any(root.remainder_mod_linear(c))
+        return c <= self.degree and not any(self.remainder_mod_linear(c))
 
     def frobenius_scale(self, q: int) -> "HomoPoly":
         """The q-th power h^q for q a power of p.
@@ -224,7 +213,7 @@ class HomoPoly:
         Coefficients in F_p are Frobenius-fixed, so the map just spreads the
         coefficient at x^j y^(d-j) to x^(qj) y^(q(d-j)).
         """
-        t = int(q)
+        t = index(q)
         if t < 1:
             raise ValueError("q must be a positive power of p")
         while t % self.p == 0:

@@ -28,12 +28,11 @@ from typing import NamedTuple
 
 from .derivmod import (
     BasisPair,
-    CertificationError,
     Multiplicity,
     VectorField,
     as_multiplicity,
     basis_guard,
-    saito_check,
+    certify,
 )
 from .fpcore import Prime
 from .homopoly import HomoPoly, binomial_power, binomial_row
@@ -173,6 +172,4 @@ def oracle_exponents(mu, p: int) -> tuple[int, int, BasisPair]:
     d1, d2 = basis.degrees
     low = _vector_field(mu, p, d1, _normalized(_coords(basis.low, mu, d1), p))
     high = _vector_field(mu, p, d2, _reduced_high(basis, mu, p))
-    if not saito_check(low, high, mu):
-        raise CertificationError(f"failed to certify a basis for {tuple(mu)}")
-    return d1, d2, BasisPair(low, high, certified=True)
+    return d1, d2, certify(low, high, mu)

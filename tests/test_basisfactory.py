@@ -5,7 +5,7 @@ import pytest
 from digit_helpers import s_index
 from full_product import apply_to_sum, projectively_equal, saito_det
 
-from triarr import basisfactory, oracle
+from triarr import basisfactory, derivmod
 from triarr.basisfactory import (
     NotInGammaError,
     TransformStep,
@@ -395,6 +395,14 @@ class TestPeriodShift:
             with pytest.raises(ValueError, match="not a transport"):
                 transport(pair, (1, 1, 1), step)
 
+    def test_shift_past_the_degree_guard_refused(self):
+        # p^d > 2^32 is refused before it is formed; a shift by 3^(10^5)
+        # used to fail on printing the image's |mu| in the basis guard
+        pair = psi_basis((1, 1, 1), 3)
+        for d in (21, 10**5):
+            with pytest.raises(GuardError, match=f"shift 3\\^{d} exceeds"):
+                transport(pair, (1, 1, 1), TransformStep("PeriodShift", d))
+
 
 class TestDualBasis:
     def test_alt_element_dualizes_to_frobenius_pair(self):
@@ -438,6 +446,17 @@ class TestDualBasis:
         _, _, big = oracle_exponents((4, 4, 4), 3)
         with pytest.raises(ValueError, match="not inside the cube"):
             transport(big, (4, 4, 4), TransformStep("Dual", 1))
+
+    def test_cube_past_the_degree_guard_refused(self):
+        # dual_multiplicity((1, 1, 1), 3, 10^6) used to return a |mu| of
+        # about 2 * 3^(10^6); side 2^32 is the largest cube formed
+        assert dual_multiplicity((1, 1, 1), 2, 32) == (2**32 - 1, 2**32 - 1, 1)
+        for p, d in ((2, 33), (3, 21), (3, 10**6)):
+            with pytest.raises(GuardError, match=f"cube side {p}\\^{d} exceeds"):
+                dual_multiplicity((1, 1, 1), p, d)
+        pair = psi_basis((1, 1, 1), 3)
+        with pytest.raises(GuardError, match="cube side"):
+            transport(pair, (1, 1, 1), TransformStep("Dual", 10**5))
 
 
 class TestPlanBasis:
@@ -508,8 +527,7 @@ class TestPlanBasis:
             calls.append(tuple(mu))
             return saito_check(t1, t2, mu)
 
-        monkeypatch.setattr(basisfactory, "saito_check", counted)
-        monkeypatch.setattr(oracle, "saito_check", counted)
+        monkeypatch.setattr(derivmod, "saito_check", counted)  # certify's one binding
         big = (1009 * 50, 1009 * 50, 5)
         for mu, p, hops, checks in (
             ((41, 52, 31), 3, 0, [(41, 52, 31)]),  # the solver at mu

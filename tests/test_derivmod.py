@@ -4,10 +4,10 @@ import random
 import dense_referee as dense
 import pytest
 from full_product import apply_to_sum, full_product_check, projectively_equal, saito_det
-from test_homopoly import divisible_by_long_division, refusal_peak_bytes
+from test_homopoly import axis_window, divisible_by_long_division, refusal_peak_bytes
 
-from triarr import homopoly
-from triarr.basisfactory import plan_basis
+from triarr import derivmod, homopoly
+from triarr.basisfactory import TransformStep, plan_basis, transport
 from triarr.derivmod import (
     BasisPair,
     Multiplicity,
@@ -18,6 +18,7 @@ from triarr.derivmod import (
     in_module,
     saito_check,
 )
+from triarr.fastexp import fast_exponents
 from triarr.fpcore import GuardError
 from triarr.homopoly import HomoPoly, binomial_power, frobenius_root
 from triarr.oracle import oracle_exponents
@@ -83,6 +84,16 @@ class TestMultiplicity:
     def test_guard(self):
         with pytest.raises(GuardError):
             as_multiplicity((1 << 33, 0, 0))
+
+    def test_only_integers_accepted(self):
+        # int() truncated these: fast_exponents((41.9, 52, 31), 3.7) answered
+        # for (41, 52, 31) at p = 3
+        for value in (("41", 52.5, True), (41.9, 52, 31), (41, 52, 31.0)):
+            with pytest.raises(TypeError):
+                as_multiplicity(value)
+        for mu, p in (((41.9, 52, 31), 3.7), ((41.9, 52, 31), 3), ((41, 52, 31), 3.0)):
+            with pytest.raises(TypeError):
+                fast_exponents(mu, p)
 
     def test_dist1(self):
         assert dist1((41, 52, 31), (54, 54, 27)) == 13 + 2 + 4
@@ -192,8 +203,8 @@ def reference_in_module(theta: VectorField, mu) -> bool:
     """Membership with f + g formed at full degree and tested by long division."""
     m1, m2, m3 = mu
     return (
-        theta.f.divisible_by_axis("x", m1)
-        and theta.g.divisible_by_axis("y", m2)
+        axis_window(theta.f, "x", m1)
+        and axis_window(theta.g, "y", m2)
         and divisible_by_long_division(apply_to_sum(theta), m3)
     )
 
@@ -229,6 +240,23 @@ class TestInModuleAtTheRoot:
             for c in self.orders(q, r):
                 assert in_module(theta, (0, 0, c)) == reference_in_module(theta, (0, 0, c))
             assert in_module(theta, (0, 0, q * r))
+
+    @pytest.mark.parametrize("p,k", CASES)
+    def test_one_root_per_test(self, p, k, monkeypatch):
+        # the root of (f, g) is the only one taken; f + g is tested as it is
+        calls = []
+        root = homopoly.frobenius_root
+        counted = lambda *polys: calls.append(len(polys)) or root(*polys)  # noqa: E731
+        monkeypatch.setattr(derivmod, "frobenius_root", counted)
+        monkeypatch.setattr(homopoly, "frobenius_root", counted)
+        mu, q = (2, 3, 4), p**k
+        pair = plan_basis(mu, p)[0]
+        lifted, nu = transport(pair, mu, TransformStep("FrobeniusLift", q))
+        for theta, at in ((pair.low, mu), (pair.high, mu), (lifted.low, nu), (lifted.high, nu)):
+            calls.clear()
+            assert in_module(theta, at) and calls == [2], (theta, at, calls)
+        calls.clear()
+        assert not in_module(euler_field(p), (2, 0, 0)) and calls == []  # x^2 does not divide x
 
     @pytest.mark.parametrize("p,k", CASES)
     def test_zero_components(self, p, k):

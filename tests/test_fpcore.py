@@ -90,6 +90,13 @@ def test_library_refuses_a_modulus_that_is_not_prime(p, name):
         REFUSALS[name](p)
 
 
+@pytest.mark.parametrize("p", (3.7, 3.0, "3"))
+def test_modulus_that_is_not_an_integer_refused(p):
+    # int() truncated these, so every public function given 3.7 answered for p = 3
+    with pytest.raises(TypeError):
+        Prime(p)
+
+
 class TestDigits:
     def test_paper_expansion_of_16(self):
         assert digits(16, 3) == [1, 2, 1]

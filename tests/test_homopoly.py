@@ -53,6 +53,18 @@ class TestConstruction:
             build(p)
 
 
+    def test_coefficients_that_are_not_integers_refused(self):
+        # int() truncated them: [1, 2.5] built x + 2y over F_3
+        for build in (
+            lambda: HomoPoly(3, [1, 2.5]),
+            lambda: HomoPoly(3, ["1", 2]),
+            lambda: HomoPoly.monomial(3, 1, 0, 1.5),
+            lambda: HomoPoly(3, [1, 2]).frobenius_scale(3.0),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+
 def refusal_peak_bytes(build) -> int:
     """Traced peak of a call that must raise GuardError."""
     tracemalloc.start()
@@ -274,6 +286,16 @@ def long_division(h: HomoPoly, c: int) -> tuple[list[int], list[int]]:
     return quot, [r % p for r in rem]
 
 
+def axis_window(h: HomoPoly, axis: str, k: int) -> bool:
+    """Whether x^k (axis 'x') or y^k (axis 'y') divides h, by the coefficient
+    window one axis at a time."""
+    if k <= 0 or h.is_zero:
+        return True
+    if k > h.degree:
+        return False
+    return not any(h.coeffs[:k] if axis == "x" else h.coeffs[h.degree - k + 1 :])
+
+
 def divisible_by_long_division(h: HomoPoly, c: int) -> bool:
     """Whether (x + y)^c divides h, by long_division."""
     if c <= 0 or h.is_zero:
@@ -286,22 +308,25 @@ def divisible_by_long_division(h: HomoPoly, c: int) -> bool:
 class TestDivisibility:
     def test_axis_examples(self):
         h = HomoPoly.monomial(5, 3, 1)  # x^3 y
-        assert h.divisible_by_axis("x", 3)
-        assert not h.divisible_by_axis("x", 4)
-        assert h.divisible_by_axis("y", 1)
-        assert not h.divisible_by_axis("y", 2)
+        assert h.divisible_by_monomial(3, 0)
+        assert not h.divisible_by_monomial(4, 0)
+        assert h.divisible_by_monomial(0, 1)
+        assert not h.divisible_by_monomial(0, 2)
+        assert h.divisible_by_monomial(3, 1)
+        assert not h.divisible_by_monomial(3, 2)
 
     def test_zero_divisible_by_everything(self):
         z = HomoPoly.zero(3)
-        assert z.divisible_by_axis("x", 100)
-        assert z.divisible_by_axis("y", 100)
+        assert z.divisible_by_monomial(100, 0)
+        assert z.divisible_by_monomial(0, 100)
+        assert z.divisible_by_monomial(100, 100)
         assert z.divisible_by_linear_power(100)
 
     def test_psi_dy_component(self):
         # x y^3 + y^4 over F_3 is divisible by y^3
         h = HomoPoly(3, [1, 1, 0, 0, 0])
-        assert h.divisible_by_axis("y", 3)
-        assert not h.divisible_by_axis("y", 4)
+        assert h.divisible_by_monomial(0, 3)
+        assert not h.divisible_by_monomial(0, 4)
 
     def test_axis_agrees_with_division_then_remultiplication(self):
         rng = random.Random(11)
@@ -311,17 +336,33 @@ class TestDivisibility:
             p = rng.choice(PRIMES)
             base = random_poly(rng, p, rng.randrange(5))
             k = rng.randrange(4)
-            for axis, mono in (("x", x(p)), ("y", y(p))):
+            for (i, j), mono in (((k, 0), x(p)), ((0, k), y(p))):
                 h = base
                 for _ in range(k):
                     h = h * mono
-                assert h.divisible_by_axis(axis, k)
+                assert h.divisible_by_monomial(i, j)
                 if not h.is_zero and k:
-                    recovered = h.times_monomial(-k, 0) if axis == "x" else h.times_monomial(0, -k)
-                    back = recovered
+                    back = h.times_monomial(-i, -j)
                     for _ in range(k):
                         back = back * mono
                     assert back == h
+
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_monomial_agrees_with_the_axis_windows(self, p):
+        # x^i y^j divides h iff x^i and y^j both do; the degrees run past the
+        # polynomial's, alone and summed, and the zero polynomial is included
+        rng = random.Random(40 + p)
+        hs = [HomoPoly.zero(p)] + [
+            random_poly(rng, p, rng.randrange(7)).times_monomial(rng.randrange(4), rng.randrange(4))
+            for _ in range(40)
+        ]
+        for h in hs:
+            top = (h.degree or 0) + 3
+            for i in range(top):
+                for j in range(top):
+                    want = axis_window(h, "x", i) and axis_window(h, "y", j)
+                    assert h.divisible_by_monomial(i, j) == want, (h, i, j)
 
 
 class TestRemainderModLinear:

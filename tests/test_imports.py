@@ -1,7 +1,8 @@
 """No module of the package imports a name that it never uses, no module
-of the package or its tests imports numpy, and the package defines nothing
+of the package or its tests imports numpy, the package defines nothing
 that only the tests use, or, but for one pinned exception, only a quoted
-benchmark name.
+benchmark name, and only derivmod.certify marks a pair certified or raises
+CertificationError.
 
 There is no linter among the test dependencies, so this reads each module
 with ``ast``: every name bound by an import must appear as a name in the
@@ -177,3 +178,54 @@ def test_definition_detector():
     traced = 's("derivmod.defining_poly")\nprint("a b")\n'
     assert {"derivmod", "defining_poly"} <= named(traced, strings=True)
     assert "defining_poly" not in named(traced) and "b" not in named(traced, strings=True)
+
+
+def certificate_sites(source: str) -> list[tuple[str | None, str]]:
+    """(enclosing function, site) for each `certified=True` keyword and each
+    `raise CertificationError` in the source, in source order."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.keyword) and child.arg == "certified":
+                if isinstance(child.value, ast.Constant) and child.value.value is True:
+                    sites.append((func, "certified=True"))
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "CertificationError":
+                    sites.append((func, "raise CertificationError"))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_only_certify_certifies():
+    # Saito's criterion decides in one place: every certified pair is built,
+    # and every failed certificate raised, by derivmod.certify
+    sites = [(p.name, *site) for p in MODULES for site in certificate_sites(p.read_text())]
+    assert sites == [
+        ("derivmod.py", "certify", "raise CertificationError"),
+        ("derivmod.py", "certify", "certified=True"),
+    ]
+
+
+def test_certificate_site_detector():
+    source = (
+        "def check(t):\n"
+        "    if not t:\n"
+        "        raise CertificationError(f'failed for {t}')\n"
+        "    return BasisPair(t, t, certified=True)\n"
+        "def copy(pair):\n"
+        "    return BasisPair(pair.low, pair.high, certified=pair.certified)\n"
+        "class Planner:\n"
+        "    def plan(self):\n"
+        "        raise CertificationError\n"
+        "PAIR = BasisPair(1, 2, certified=True)\n"
+    )
+    assert certificate_sites(source) == [
+        ("check", "raise CertificationError"),
+        ("check", "certified=True"),
+        ("plan", "raise CertificationError"),
+        (None, "certified=True"),
+    ]
