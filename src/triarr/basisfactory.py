@@ -150,6 +150,8 @@ def _hop(fields, mu: Multiplicity, step: TransformStep, n: int = 1):
     p, (m1, m2, m3) = fields[0].p, mu
     if step.kind == "FrobeniusLift":
         q = step.param**n
+        if q * max(mu.total, 1) > DEGREE_GUARD:  # the message leaves q out: it may be huge
+            raise GuardError(f"a Frobenius lift of |mu| = {mu.total} exceeds the desk-scale guard")
         target, move = mu.scaled(q), lambda t: t.frobenius(q)
     elif step.kind == "PeriodShift":
         s = n * guarded_power(p, step.param, "shift")
@@ -171,11 +173,12 @@ def transport(pair: BasisPair, mu, step: TransformStep) -> tuple[BasisPair, Mult
     """Transport a basis for mu along one lattice symmetry, certified at the image.
 
     FrobeniusLift(q) maps mu to q*mu by the q-th power Frobenius, q a power
-    of p with q >= p.  PeriodShift(d) maps mu to mu + (p^d, p^d, 0); the
-    image is theorem-guaranteed when m3 <= p^d, and outside that range the
-    Saito certificate decides, raising CertificationError.  Dual(d) maps mu
-    inside the closed cube of side p^d to (p^d - m1, p^d - m2, m3); applied
-    twice it returns the original pair up to sign.  d >= 1 for both.
+    of p with q >= p and q max(|mu|, 1) <= 2^32.  PeriodShift(d) maps mu to
+    mu + (p^d, p^d, 0); the image is theorem-guaranteed when m3 <= p^d, and
+    outside that range the Saito certificate decides, raising
+    CertificationError.  Dual(d) maps mu inside the closed cube of side p^d
+    to (p^d - m1, p^d - m2, m3); applied twice it returns the original pair
+    up to sign.  d >= 1 for both.
     """
     p = pair.low.p
     least = {"FrobeniusLift": p, "PeriodShift": 1, "Dual": 1}.get(step.kind)

@@ -159,7 +159,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--suite", default="golden", help="comma-separated suite names")
+    ap.commands = sub.choices  # name -> subcommand parser, for parse_command
     return ap
+
+
+def parse_command(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one pass when argv[0] names a subcommand."""
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sp = ap.commands.get(argv[0]) if argv else None
+    if sp is None:  # no command, -h, an unknown command or an option first
+        return ap.parse_args(argv)
+    args, extra = sp.parse_known_args(argv[1:])
+    if extra:  # reported as parse_args reports them, under the top usage line
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 # Each handler returns the output: a string as is, anything else as JSON.
@@ -267,7 +282,7 @@ def _cmd_verify(args):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_command(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

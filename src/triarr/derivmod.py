@@ -58,16 +58,16 @@ class Multiplicity(NamedTuple):
 
 
 def as_multiplicity(value) -> Multiplicity:
-    """Coerce a triple of integers to a validated Multiplicity (TypeError otherwise)."""
-    if isinstance(value, Multiplicity):
-        mu = value
-    else:
-        a, b, c = value
-        mu = Multiplicity(index(a), index(b), index(c))
-    if min(mu) < 0:
-        raise ValueError(f"multiplicities must be nonnegative, got {tuple(mu)}")
-    if mu.total > DEGREE_GUARD:
-        raise GuardError(f"|mu| = {mu.total} exceeds the desk-scale guard")
+    """Coerce a triple of integers, a Multiplicity included, to a validated
+    Multiplicity (TypeError otherwise); a valid Multiplicity is returned as it is."""
+    a, b, c = value
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        a, b, c = value = index(a), index(b), index(c)
+    mu = value if type(value) is Multiplicity else Multiplicity(a, b, c)
+    if a < 0 or b < 0 or c < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {(a, b, c)}")
+    if a + b + c > DEGREE_GUARD:
+        raise GuardError(f"|mu| = {a + b + c} exceeds the desk-scale guard")
     return mu
 
 

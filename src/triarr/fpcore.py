@@ -27,7 +27,10 @@ class GuardError(ValueError):
 
 
 def guarded_power(p: int, k: int, what: str) -> int:
-    """p^k for k >= 0, refused with GuardError past DEGREE_GUARD before it is formed."""
+    """p^k for an integer k >= 0 (ValueError for k < 0, TypeError for a
+    non-integer), refused with GuardError past DEGREE_GUARD before it is formed."""
+    if index(k) < 0:
+        raise ValueError(f"{what} exponent {k} is negative")
     if k > 32 or p**k > DEGREE_GUARD:  # k first: past 32, p^k >= 2^33 is never formed
         raise GuardError(f"{what} {p}^{k} exceeds the desk-scale guard")
     return p**k

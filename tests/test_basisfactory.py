@@ -359,6 +359,14 @@ class TestFrobeniusLift:
         with pytest.raises(ValueError, match="not a transport"):
             transport(pair, (1, 1, 1), TransformStep("FrobeniusLift", 1))
 
+    def test_lift_past_the_degree_guard_refused(self):
+        # q |mu| > 2^32 is refused before mu is scaled; a lift by 3^10000 used
+        # to fail on printing the image's |mu| in the basis guard
+        pair = psi_basis((1, 1, 1), 3)
+        for q in (3**20, 3**21, 3**10000):
+            with pytest.raises(GuardError, match=r"lift of \|mu\| = 3 exceeds"):
+                transport(pair, (1, 1, 1), TransformStep("FrobeniusLift", q))
+
 
 class TestPeriodShift:
     def test_paper_eg334p5(self):
@@ -457,6 +465,14 @@ class TestDualBasis:
         pair = psi_basis((1, 1, 1), 3)
         with pytest.raises(GuardError, match="cube side"):
             transport(pair, (1, 1, 1), TransformStep("Dual", 10**5))
+
+    def test_exponent_that_is_negative_or_not_an_integer_refused(self):
+        # dual_multiplicity((0, 0, 0), 3, -1) returned (1/3, 1/3, 0), and d = 2.5
+        # a side of 15.59...
+        with pytest.raises(ValueError, match="cube side exponent -1 is negative"):
+            dual_multiplicity((0, 0, 0), 3, -1)
+        with pytest.raises(TypeError):
+            dual_multiplicity((0, 0, 0), 3, 2.5)
 
 
 class TestPlanBasis:

@@ -1,9 +1,13 @@
+import argparse
 import json
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 from xml.etree import ElementTree
+
+import pytest
 
 from triarr import atlas, basisfactory, cli, fastexp, fpcore, homopoly, verify
 
@@ -16,6 +20,60 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def seeded_argv(rng: random.Random, command: str) -> list[str]:
+    """One well-formed command in the shapes cli-mix draws, for any of the seven
+    subcommands: required and optional flags in random order and spelling."""
+    def triple(hi):
+        return ",".join(str(rng.randint(0, hi)) for _ in range(3))
+
+    required = [(rng.choice(("-p", "--prime")), str(rng.choice((2, 3, 5, 7))))]
+    optional = [("--format", rng.choice(("text", "json"))), ("--workers", "1"), ("--out", "cmd.out")]
+    if command in ("exp", "basis", "oracle"):
+        required.append(("--mu", triple(10**9)))
+        if command == "basis":
+            optional.append(("--strategy", rng.choice(("plan", "oracle", "psi"))))
+    elif command == "table":
+        optional[0] = ("--format", rng.choice(("text", "ascii", "csv", "json", "svg")))
+        optional += [("--mode", rng.choice(("m3", "sum"))), ("--m", str(rng.randint(0, 60))),
+                     ("--total", str(rng.randint(10, 80))), ("--cell", "zero"),
+                     ("--range", f"{rng.randint(8, 40)},{rng.randint(8, 40)}"),
+                     ("--mark-centers",)]
+    elif command == "centers":
+        required += [("-k", str(rng.randint(0, 3))), ("--box", triple(60))]
+    elif command == "gamma":
+        required.append(("-m", str(rng.randint(1, 10**4))))
+        optional.append(("--mu", triple(100)))
+    else:
+        optional = [("--format", "text"), ("--box", triple(8)), ("--seed", str(rng.randint(0, 99))),
+                    ("--suite", "golden,duality"), ("--workers", "2")]
+    flags = required + rng.sample(optional, rng.randint(0, len(optional)))
+    rng.shuffle(flags)
+    argv = [command]
+    for flag in flags:
+        argv += [f"{flag[0]}={flag[1]}"] if len(flag) == 2 and rng.random() < 0.2 else flag
+    return argv
+
+
+# each goes through the full parser: none, help, an unknown command, an
+# option first; then help, errors and a well-formed command past a command name
+MESSAGE_ARGV = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["-p", "3", "exp"],
+    ["exp", "-h"],
+    ["exp", "-p", "3"],
+    ["exp", "-p", "3", "--mu", "1,1,1", "--bogus"],
+    ["exp", "-p", "3", "--mu", "1,1,1", "--seed", "3"],
+    ["table", "-p", "2", "--format", "pdf"],
+    ["exp", "-p", "3", "--mu", "41,52,31"],
+]
 
 
 class TestParser:
@@ -32,6 +90,55 @@ class TestParser:
         assert run(capsys, "exp", "-p", "3", "--mu", "1,1,1")[0] == 0
         assert run(capsys, "exp", "-p", "5", "--mu", "3,3,4")[0] == 0
         assert len(subparsers) == 7
+
+    def test_one_parse_pass_per_well_formed_command(self, capsys, monkeypatch):
+        # the full parser reads the arguments, then hands them to exp's parser
+        passes = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run(capsys, "exp", "-p", "3", "--mu", "41,52,31")[0] == 0
+        assert passes == ["triarr exp"]
+
+    def test_namespace_equals_the_full_parse(self):
+        rng = random.Random(27)
+        commands = ("exp", "basis", "oracle", "table", "centers", "gamma", "verify")
+        for _ in range(100):
+            for command in commands:
+                argv = seeded_argv(rng, command)
+                assert cli.parse_command(argv) == full_parse(argv), argv
+
+    @pytest.mark.parametrize("argv", MESSAGE_ARGV, ids=lambda a: " ".join(a) or "no-args")
+    def test_messages_match_the_full_parser(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "parse_command", full_parse)
+        assert got == run(capsys, *argv)
+
+    def test_leftovers_reported_under_the_top_usage_line(self, capsys):
+        code, out, err = run(capsys, "exp", "-p", "3", "--mu", "1,1,1", "--seed", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: triarr [-h] {exp,basis,oracle,table,centers,gamma,verify}")
+        assert err.endswith("triarr: error: unrecognized arguments: --seed 3\n")
+
+    def test_module_entry_point(self, capsys):
+        # main() with no argv reads sys.argv[1:]
+        src = Path(cli.__file__).parent.parent
+        argv = ["exp", "-p", "3", "--mu", "41,52,31"]
+        ran = subprocess.run(
+            [sys.executable, "-m", "triarr.cli", *argv], cwd=src, capture_output=True, text=True
+        )
+        assert (ran.returncode, ran.stdout, ran.stderr) == run(capsys, *argv)
+        bare = subprocess.run(
+            [sys.executable, "-m", "triarr.cli"], cwd=src, capture_output=True, text=True
+        )
+        assert (bare.returncode, bare.stdout) == (2, "")
+        assert bare.stderr.splitlines()[0] == (
+            "usage: triarr [-h] {exp,basis,oracle,table,centers,gamma,verify} ..."
+        )
 
 
 class TestExp:

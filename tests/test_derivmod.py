@@ -95,6 +95,23 @@ class TestMultiplicity:
             with pytest.raises(TypeError):
                 fast_exponents(mu, p)
 
+    def test_caller_built_multiplicity_checked(self):
+        # a Multiplicity was returned unchecked: fast_exponents(Multiplicity(41.9,
+        # 52, 31), 3) answered delta = 8.899...
+        with pytest.raises(TypeError):
+            as_multiplicity(Multiplicity(41, 52.5, 31))
+        with pytest.raises(TypeError):
+            fast_exponents(Multiplicity(41.9, 52, 31), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            as_multiplicity(Multiplicity(1, -1, 0))
+        with pytest.raises(GuardError):
+            as_multiplicity(Multiplicity(1 << 33, 0, 0))
+        mu = Multiplicity(41, 52, 31)
+        assert as_multiplicity(mu) is mu
+        coerced = as_multiplicity(Multiplicity(True, 52, 31))
+        assert coerced == (1, 52, 31) and type(coerced) is Multiplicity
+        assert all(type(c) is int for c in coerced)
+
     def test_dist1(self):
         assert dist1((41, 52, 31), (54, 54, 27)) == 13 + 2 + 4
 

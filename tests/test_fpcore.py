@@ -14,6 +14,7 @@ from triarr.fpcore import (
     binom_mod_p,
     digits,
     g_set,
+    guarded_power,
     is_prime,
     least_dominated,
 )
@@ -191,6 +192,23 @@ class TestGSet:
     def test_guard(self):
         with pytest.raises(GuardError):
             g_set((1 << 25) - 1, 2)
+
+
+class TestGuardedPower:
+    def test_powers_up_to_the_guard(self):
+        assert guarded_power(2, 0, "side") == 1
+        assert guarded_power(2, 32, "side") == 1 << 32
+        assert guarded_power(3, True, "side") == 3
+        with pytest.raises(GuardError, match=r"side 2\^33 exceeds"):
+            guarded_power(2, 33, "side")
+
+    def test_negative_or_non_integer_exponent_refused(self):
+        # p^k with k = -1 or 2.5 was a float
+        with pytest.raises(ValueError, match="radius exponent -1 is negative"):
+            guarded_power(3, -1, "radius")
+        for k in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                guarded_power(3, k, "radius")
 
 
 class TestLeastDominated:
